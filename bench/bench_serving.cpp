@@ -15,6 +15,11 @@
 //                 writer thread keeps publishing new snapshot versions
 //                 (the ISSUE's headline serving number).
 //
+// Informational, no gate: the cold compute_plan() cost (a cache miss)
+// per (kind, width), median and p90 over repeated computes on rotating
+// node sets — the per-layer cost that /plan throughput moves with when
+// publishes invalidate the cache.
+//
 // Usage: bench_serving [--smoke] [--out <path>]
 #include <atomic>
 #include <chrono>
@@ -34,6 +39,7 @@
 #include "serving/plan.hpp"
 #include "serving/plan_cache.hpp"
 #include "serving/snapshot_store.hpp"
+#include "support/statistics.hpp"
 #include "support/stopwatch.hpp"
 
 // ---------------------------------------------------------------------------
@@ -131,6 +137,47 @@ std::vector<PlanRequest> build_requests() {
   return requests;
 }
 
+/// Cold (uncached) compute_plan() latency for one request shape.
+struct ColdCompute {
+  PlanKind kind = PlanKind::BroadcastTree;
+  std::size_t width = 0;
+  std::size_t computes = 0;
+  double us_p50 = 0.0;
+  double us_p90 = 0.0;
+};
+
+/// Time `computes` direct planner calls per (kind, width); the node set
+/// slides around the cluster and the tree root moves inside it, so no
+/// single shape's luck dominates.
+std::vector<ColdCompute> measure_cold_computes(
+    const ConstantSnapshot& snapshot, std::size_t computes) {
+  std::vector<ColdCompute> rows;
+  for (const PlanKind kind :
+       {PlanKind::BroadcastTree, PlanKind::TopologyMapping}) {
+    for (const std::size_t width : {4, 8, 12, 14}) {
+      std::vector<double> micros;
+      micros.reserve(computes);
+      std::size_t checksum = 0;
+      for (std::size_t i = 0; i < computes; ++i) {
+        std::vector<std::size_t> nodes;
+        for (std::size_t k = 0; k < width; ++k) {
+          nodes.push_back((i + k) % kClusterSize);
+        }
+        const PlanRequest request = canonical_plan_request(
+            kind, nodes, nodes[i % width], 8u << 20);
+        const Stopwatch clock;
+        const Plan plan = compute_plan(snapshot, request);
+        micros.push_back(clock.seconds() * 1e6);
+        checksum += plan.json.size();
+      }
+      if (checksum == 0) std::cerr << "impossible checksum\n";
+      rows.push_back({kind, width, computes, percentile(micros, 0.5),
+                      percentile(micros, 0.9)});
+    }
+  }
+  return rows;
+}
+
 struct GateResults {
   std::uint64_t identity_mismatches = 0;
   std::uint64_t hit_loop_queries = 0;
@@ -143,6 +190,7 @@ struct GateResults {
   std::size_t query_threads = 0;
   PlanCache::Stats cache;
   std::uint64_t epoch_reclaimed = 0;
+  std::vector<ColdCompute> cold;
 };
 
 }  // namespace
@@ -168,6 +216,7 @@ int main(int argc, char** argv) {
 
   const std::uint64_t hit_iterations = smoke ? 2'000'000 : 20'000'000;
   const double concurrent_window = smoke ? 0.5 : 3.0;
+  const std::size_t cold_computes = smoke ? 200 : 2000;
   const std::size_t query_threads = 2;
 
   EpochDomain epoch;
@@ -261,6 +310,13 @@ int main(int argc, char** argv) {
   results.cache = cache.stats();
   results.epoch_reclaimed = epoch.reclaimed_total();
 
+  // ---- Informational: cold compute_plan() cost per shape.
+  {
+    EpochDomain::Reader reader(epoch);
+    const SnapshotStore::Ref ref = store.acquire(tenant, reader);
+    results.cold = measure_cold_computes(*ref, cold_computes);
+  }
+
   // ---- Verdicts.
   int violations = 0;
   if (results.identity_mismatches > 0) {
@@ -296,6 +352,12 @@ int main(int argc, char** argv) {
             << "cache: " << results.cache.hits << " hits, "
             << results.cache.misses << " misses, "
             << results.cache.invalidated << " invalidated\n";
+  for (const ColdCompute& row : results.cold) {
+    std::cout << "cold compute: " << plan_kind_name(row.kind) << " width "
+              << row.width << ": p50 " << row.us_p50 << " us, p90 "
+              << row.us_p90 << " us over " << row.computes
+              << " computes\n";
+  }
 
   std::ostringstream json;
   json.precision(6);
@@ -324,6 +386,16 @@ int main(int argc, char** argv) {
        << ", \"replaced\": " << results.cache.replaced << "},\n"
        << "  \"epoch\": {\"reclaimed\": " << results.epoch_reclaimed
        << "},\n"
+       << "  \"cold_compute\": [";
+  for (std::size_t k = 0; k < results.cold.size(); ++k) {
+    const ColdCompute& row = results.cold[k];
+    json << (k > 0 ? ",\n" : "\n") << "    {\"kind\": \""
+         << plan_kind_name(row.kind) << "\", \"width\": " << row.width
+         << ", \"computes\": " << row.computes
+         << ", \"us_p50\": " << row.us_p50
+         << ", \"us_p90\": " << row.us_p90 << "}";
+  }
+  json << "\n  ],\n"
        << "  \"violations\": " << violations << "\n}\n";
 
   std::ofstream out(out_path);

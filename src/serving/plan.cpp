@@ -1,11 +1,12 @@
 #include "serving/plan.hpp"
 
 #include <algorithm>
-#include <sstream>
+#include <charconv>
+#include <iterator>
 
 #include "collective/collective_ops.hpp"
 #include "collective/fnf.hpp"
-#include "mapping/refine.hpp"
+#include "mapping/mapping.hpp"
 #include "obs/export.hpp"
 #include "support/error.hpp"
 
@@ -65,46 +66,66 @@ std::uint64_t plan_request_hash(std::size_t tenant_index,
 
 namespace {
 
-/// Value formatting shared with the exporters' conventions: integers
-/// exact, reals with round-trip precision.
-void write_double(std::ostream& out, double value) {
-  std::ostringstream os;
-  os.precision(17);
-  os << value;
-  out << os.str();
+void append_integer(std::string& out, std::uint64_t value) {
+  char digits[20];
+  const auto end = std::to_chars(digits, std::end(digits), value).ptr;
+  out.append(digits, end);
+}
+
+/// Round-trip precision, the same bytes as a precision(17) ostream.
+void append_real(std::string& out, double value) {
+  char digits[32];
+  const auto end = std::to_chars(digits, std::end(digits), value,
+                                 std::chars_format::general, 17)
+                       .ptr;
+  out.append(digits, end);
+}
+
+void append_list(std::string& out, const std::vector<std::size_t>& values) {
+  out += '[';
+  for (std::size_t k = 0; k < values.size(); ++k) {
+    if (k > 0) out += ',';
+    append_integer(out, values[k]);
+  }
+  out += ']';
 }
 
 void write_plan_json(Plan& plan) {
-  std::ostringstream out;
-  out << "{\"tenant\":\"" << obs::json_escape(plan.tenant)
-      << "\",\"version\":" << plan.version << ",\"kind\":\""
-      << plan_kind_name(plan.request.kind) << "\",\"bytes\":"
-      << plan.request.bytes << ",\"nodes\":[";
-  for (std::size_t k = 0; k < plan.request.nodes.size(); ++k) {
-    if (k > 0) out << ',';
-    out << plan.request.nodes[k];
-  }
-  out << ']';
+  std::string& out = plan.json;
+  out.reserve(160 + plan.tenant.size() +
+              16 * (plan.request.nodes.size() + plan.edges.size() +
+                    plan.assignment.size()));
+  out += "{\"tenant\":\"";
+  out += obs::json_escape(plan.tenant);
+  out += "\",\"version\":";
+  append_integer(out, plan.version);
+  out += ",\"kind\":\"";
+  out += plan_kind_name(plan.request.kind);
+  out += "\",\"bytes\":";
+  append_integer(out, plan.request.bytes);
+  out += ",\"nodes\":";
+  append_list(out, plan.request.nodes);
   if (plan.request.kind == PlanKind::BroadcastTree) {
-    out << ",\"root\":" << plan.request.root << ",\"edges\":[";
+    out += ",\"root\":";
+    append_integer(out, plan.request.root);
+    out += ",\"edges\":[";
     for (std::size_t k = 0; k < plan.edges.size(); ++k) {
-      if (k > 0) out << ',';
-      out << '[' << plan.edges[k].parent << ',' << plan.edges[k].child
-          << ']';
+      if (k > 0) out += ',';
+      out += '[';
+      append_integer(out, plan.edges[k].parent);
+      out += ',';
+      append_integer(out, plan.edges[k].child);
+      out += ']';
     }
-    out << ']';
+    out += ']';
   } else {
-    out << ",\"assignment\":[";
-    for (std::size_t k = 0; k < plan.assignment.size(); ++k) {
-      if (k > 0) out << ',';
-      out << plan.assignment[k];
-    }
-    out << ']';
+    out += ",\"assignment\":";
+    append_list(out, plan.assignment);
   }
-  out << ",\"predicted_seconds\":";
-  write_double(out, plan.predicted_seconds);
-  out << '}';
-  plan.json = out.str();
+  out += ",\"predicted_seconds\":";
+  append_real(out, plan.predicted_seconds);
+  out += '}';
+  out.shrink_to_fit();  // cached plans keep only the bytes they serve
 }
 
 /// Append the tree's edges in send order (pre-order, children in stored
@@ -153,13 +174,14 @@ Plan compute_plan(const ConstantSnapshot& snapshot,
         if (u != v) tasks.set_volume(u, v, static_cast<double>(request.bytes));
       }
     }
-    const mapping::RefineResult refined =
-        mapping::plan_mapping(tasks, sub, mapping::mapping_cost);
-    plan.assignment.reserve(refined.mapping.size());
-    for (const std::size_t machine : refined.mapping) {
+    // No swap beats greedy here: MappingCost.UniformGraphIsBijectionInvariant
+    const mapping::Mapping mapped = mapping::greedy_mapping(
+        tasks, mapping::MachineGraph::from_performance(sub));
+    plan.assignment.reserve(mapped.size());
+    for (const std::size_t machine : mapped) {
       plan.assignment.push_back(request.nodes[machine]);
     }
-    plan.predicted_seconds = refined.cost;
+    plan.predicted_seconds = mapping::mapping_cost(mapped, tasks, sub);
   }
   write_plan_json(plan);
   return plan;

@@ -26,7 +26,7 @@ enum class PlanKind {
   /// Fastest-Node-First broadcast tree over the node set (the paper's
   /// collective optimization), rooted at `root`.
   BroadcastTree,
-  /// Task -> node topology mapping (greedy + 2-swap refinement) for a
+  /// Task -> node topology mapping (the paper's greedy heuristic) for a
   /// dense uniform task graph of `bytes` per ordered pair.
   TopologyMapping,
 };

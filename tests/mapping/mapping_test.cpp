@@ -128,6 +128,42 @@ TEST(MappingVolumeCost, SumsVolumeOverBandwidth) {
               1e-12);
 }
 
+TEST(MappingCost, UniformGraphIsBijectionInvariant) {
+  // The dense uniform task graph serving::compute_plan builds: every
+  // ordered pair exchanges the same volume. Each task then pays its
+  // machine's full row of transfer times, so every bijection costs the
+  // largest row sum and no swap can improve the greedy mapping.
+  Rng rng(7);
+  for (std::size_t n = 2; n <= 16; ++n) {
+    netmodel::PerformanceMatrix perf(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      for (std::size_t j = 0; j < n; ++j) {
+        if (i != j) {
+          perf.set_link(i, j, {rng.uniform(1e-5, 1e-3),
+                               rng.uniform(1e6, 1e9)});
+        }
+      }
+    }
+    TaskGraph tasks(n);
+    for (std::size_t u = 0; u < n; ++u) {
+      for (std::size_t v = 0; v < n; ++v) {
+        if (u != v) tasks.set_volume(u, v, 8.0 * 1024 * 1024);
+      }
+    }
+    const Mapping greedy =
+        greedy_mapping(tasks, MachineGraph::from_performance(perf));
+    ASSERT_TRUE(is_valid_mapping(greedy, n, n));
+    const double greedy_cost = mapping_cost(greedy, tasks, perf);
+    Mapping shuffled = ring_mapping(n);
+    for (int trial = 0; trial < 50; ++trial) {
+      rng.shuffle(shuffled);
+      EXPECT_NEAR(mapping_cost(shuffled, tasks, perf), greedy_cost,
+                  1e-14 * greedy_cost)
+          << "n=" << n << " trial=" << trial;
+    }
+  }
+}
+
 TEST(MappingCost, ZeroVolumeEdgesAreFree) {
   TaskGraph tasks(3);
   const auto perf = uniform_perf(3, 1.0);

@@ -7,6 +7,7 @@
 #include <array>
 #include <atomic>
 #include <chrono>
+#include <cstdlib>
 #include <random>
 #include <thread>
 #include <vector>
@@ -20,7 +21,7 @@ namespace netconst::serving {
 namespace {
 
 /// Asymmetric deterministic component: link quality varies by pair so
-/// FNF ordering and mapping refinement have real structure to find.
+/// FNF ordering and the greedy mapping have real structure to find.
 ConstantSnapshot test_snapshot(std::size_t size, std::uint64_t version) {
   ConstantSnapshot snapshot;
   snapshot.tenant = "t";
@@ -149,6 +150,87 @@ TEST(PlanCache, MappingPlanShape) {
   EXPECT_GT(plan.predicted_seconds, 0.0);
   EXPECT_NE(plan.json.find("\"kind\":\"topology_mapping\""),
             std::string::npos);
+}
+
+TEST(PlanCache, BroadcastPlanJsonMatchesGoldenBytes) {
+  // Served bytes are an interface: clients and caches compare them, so
+  // tree plans keep this exact serialization — escapes, integer widths
+  // and 17-significant-digit reals included.
+  ConstantSnapshot snapshot = test_snapshot(16, 5);
+  snapshot.tenant = "rack \"a\"\\1";
+  const struct {
+    std::vector<std::size_t> nodes;
+    std::size_t root;
+    std::uint64_t bytes;
+    std::string json;
+  } cases[] = {
+      {{0, 1, 2, 3},
+       2,
+       1 << 16,
+       R"({"tenant":"rack \"a\"\\1","version":5,"kind":"broadcast_tree",)"
+       R"("bytes":65536,"nodes":[0,1,2,3],"root":2,)"
+       R"("edges":[[2,3],[3,1],[2,0]],"predicted_seconds":0.002392688})"},
+      {{1, 3, 4, 6, 9, 12},
+       9,
+       8ull << 20,
+       R"({"tenant":"rack \"a\"\\1","version":5,"kind":"broadcast_tree",)"
+       R"("bytes":8388608,"nodes":[1,3,4,6,9,12],"root":9,)"
+       R"("edges":[[9,6],[6,4],[6,12],[9,3],[9,1]],)"
+       R"("predicted_seconds":0.34852723199999996})"},
+      {{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 13, 15},
+       13,
+       3'000'000'000ull,
+       R"({"tenant":"rack \"a\"\\1","version":5,"kind":"broadcast_tree",)"
+       R"("bytes":3000000000,"nodes":[0,1,2,3,4,5,6,7,8,9,10,11,13,15],)"
+       R"("root":13,"edges":[[13,11],[11,5],[5,8],[5,3],[11,9],[9,0],)"
+       R"([11,6],[13,4],[4,2],[4,10],[13,15],[15,7],[13,1]],)"
+       R"("predicted_seconds":150.00051000000002})"},
+  };
+  for (const auto& golden : cases) {
+    const Plan plan = compute_plan(
+        snapshot, canonical_plan_request(PlanKind::BroadcastTree,
+                                         golden.nodes, golden.root,
+                                         golden.bytes));
+    EXPECT_EQ(plan.json, golden.json);
+  }
+}
+
+TEST(PlanCache, PredictedSecondsRoundTripsThroughJson) {
+  // The JSON real must parse back to exactly the plan's double, for
+  // both kinds, over many node sets, sizes and message sizes.
+  std::mt19937_64 rng(11);
+  const std::string field = "\"predicted_seconds\":";
+  std::size_t plans = 0;
+  for (std::uint64_t version = 1; version <= 4; ++version) {
+    const ConstantSnapshot snapshot = test_snapshot(16, version);
+    for (int trial = 0; trial < 100; ++trial) {
+      std::vector<std::size_t> nodes(16);
+      for (std::size_t k = 0; k < nodes.size(); ++k) nodes[k] = k;
+      std::shuffle(nodes.begin(), nodes.end(), rng);
+      nodes.resize(2 + rng() % 15);
+      const std::uint64_t bytes = 1 + rng() % (1ull << 32);
+      for (const PlanKind kind :
+           {PlanKind::BroadcastTree, PlanKind::TopologyMapping}) {
+        const Plan plan = compute_plan(
+            snapshot,
+            canonical_plan_request(kind, nodes, nodes.front(), bytes));
+        const std::size_t at = plan.json.find(field);
+        ASSERT_NE(at, std::string::npos);
+        const char* begin = plan.json.c_str() + at + field.size();
+        char* end = nullptr;
+        EXPECT_EQ(std::strtod(begin, &end), plan.predicted_seconds)
+            << plan.json;
+        EXPECT_EQ(std::string(end), "}") << plan.json;
+        if (kind == PlanKind::TopologyMapping) {
+          std::vector<std::size_t> hosts = plan.assignment;
+          std::sort(hosts.begin(), hosts.end());
+          EXPECT_EQ(hosts, plan.request.nodes);
+        }
+        ++plans;
+      }
+    }
+  }
+  EXPECT_EQ(plans, 800u);
 }
 
 TEST(PlanCache, VersionBumpInvalidatesExactlyOlderEntries) {
