@@ -1,6 +1,6 @@
 // bench_serving — performance gates for the constant-serving front end.
 //
-// Three gates, all hard (nonzero exit on violation), emitted as
+// Four gates, all hard (nonzero exit on violation), emitted as
 // machine-readable JSON (BENCH_serving.json by default):
 //
 //  1. identity  — every cached plan's bytes equal a direct
@@ -12,8 +12,14 @@
 //                 in steady state, measured by the instrumented global
 //                 allocator below;
 //  3. throughput — >= 1M cached plan queries/sec sustained while a
-//                 writer thread keeps publishing new snapshot versions
-//                 (the ISSUE's headline serving number).
+//                 writer thread keeps publishing new snapshot versions;
+//  4. HTTP hit   — warmed /plan hits driven through the HTTP request
+//                 path without sockets (HttpServer::service_input:
+//                 parse, dispatch to ConstantServer's /plan handler,
+//                 serialize) perform zero heap allocations, and every
+//                 answer carries the direct compute_plan() bytes. Its
+//                 per-request latency (http_hit.us_p50 / us_p90) is
+//                 reported without a gate.
 //
 // Informational, no gate: the cold compute_plan() cost (a cache miss)
 // per (kind, width), median and p90 over repeated computes on rotating
@@ -35,9 +41,13 @@
 
 #include <malloc.h>  // malloc_usable_size (glibc)
 
+#include "online/metrics.hpp"
+#include "online/service.hpp"
 #include "serving/epoch.hpp"
+#include "serving/http.hpp"
 #include "serving/plan.hpp"
 #include "serving/plan_cache.hpp"
+#include "serving/server.hpp"
 #include "serving/snapshot_store.hpp"
 #include "support/statistics.hpp"
 #include "support/stopwatch.hpp"
@@ -178,6 +188,90 @@ std::vector<ColdCompute> measure_cold_computes(
   return rows;
 }
 
+/// The HTTP request that asks /plan for `request`.
+std::string plan_request_head(const std::string& tenant,
+                              const PlanRequest& request) {
+  std::string head = "GET /plan?tenant=" + tenant + "&kind=";
+  head += request.kind == PlanKind::BroadcastTree ? "tree" : "mapping";
+  head += "&nodes=";
+  for (std::size_t k = 0; k < request.nodes.size(); ++k) {
+    if (k > 0) head += ',';
+    head += std::to_string(request.nodes[k]);
+  }
+  if (request.kind == PlanKind::BroadcastTree) {
+    head += "&root=" + std::to_string(request.root);
+  }
+  head += "&bytes=" + std::to_string(request.bytes);
+  head += " HTTP/1.1\r\nHost: bench\r\n\r\n";
+  return head;
+}
+
+struct HttpHits {
+  std::uint64_t requests = 0;
+  std::uint64_t allocs = 0;
+  std::uint64_t mismatches = 0;
+  double us_p50 = 0.0;
+  double us_p90 = 0.0;
+};
+
+/// Warmed /plan hits through the real HTTP request path, one request
+/// per service_input() call, on a stopped ConstantServer (no sockets,
+/// no other thread). Warm-up answers every shape once (the cache
+/// computes its plans, the reused request/response/output buffers
+/// grow) and then runs past the /plan latency histogram's sample cap,
+/// after which the path has nothing left to grow.
+HttpHits measure_http_hits(const std::vector<PlanRequest>& requests,
+                           std::uint64_t timed_requests) {
+  online::ConstantFinderService service;
+  ConstantServer server(service);
+  server.store().publish("bench", bench_component(1), 0.0, 1);
+  HttpServer& http = server.http();
+
+  HttpHits hits;
+  std::vector<std::string> heads;
+  HttpServer::Connection connection;
+  EpochDomain::Reader reader(server.epoch());
+  for (const PlanRequest& request : requests) {
+    heads.push_back(plan_request_head("bench", request));
+    connection.input = heads.back();
+    connection.output.clear();
+    http.service_input(connection);
+    const SnapshotStore::Ref ref = server.store().acquire(0, reader);
+    const std::string expected = compute_plan(*ref, request).json;
+    const std::string tail =
+        "\r\nContent-Length: " + std::to_string(expected.size()) +
+        "\r\nConnection: keep-alive\r\n\r\n" + expected;
+    if (connection.output.rfind("HTTP/1.1 200 OK\r\n", 0) != 0 ||
+        connection.output.size() < tail.size() ||
+        connection.output.compare(connection.output.size() - tail.size(),
+                                  tail.size(), tail) != 0) {
+      ++hits.mismatches;
+    }
+  }
+  const std::size_t warm_up = online::Histogram::kMaxSamples + heads.size();
+  for (std::size_t i = 0; i < warm_up; ++i) {
+    connection.input.assign(heads[i % heads.size()]);
+    connection.output.clear();
+    http.service_input(connection);
+  }
+
+  std::vector<double> micros;
+  micros.reserve(timed_requests);
+  const std::uint64_t allocs0 = g_allocs.load();
+  for (std::uint64_t i = 0; i < timed_requests; ++i) {
+    connection.input.assign(heads[i % heads.size()]);
+    connection.output.clear();
+    const Stopwatch clock;
+    http.service_input(connection);
+    micros.push_back(clock.seconds() * 1e6);
+  }
+  hits.allocs = g_allocs.load() - allocs0;
+  hits.requests = timed_requests;
+  hits.us_p50 = percentile(micros, 0.5);
+  hits.us_p90 = percentile(micros, 0.9);
+  return hits;
+}
+
 struct GateResults {
   std::uint64_t identity_mismatches = 0;
   std::uint64_t hit_loop_queries = 0;
@@ -191,6 +285,7 @@ struct GateResults {
   PlanCache::Stats cache;
   std::uint64_t epoch_reclaimed = 0;
   std::vector<ColdCompute> cold;
+  HttpHits http;
 };
 
 }  // namespace
@@ -217,6 +312,7 @@ int main(int argc, char** argv) {
   const std::uint64_t hit_iterations = smoke ? 2'000'000 : 20'000'000;
   const double concurrent_window = smoke ? 0.5 : 3.0;
   const std::size_t cold_computes = smoke ? 200 : 2000;
+  const std::uint64_t http_requests = smoke ? 200'000 : 2'000'000;
   const std::size_t query_threads = 2;
 
   EpochDomain epoch;
@@ -310,6 +406,9 @@ int main(int argc, char** argv) {
   results.cache = cache.stats();
   results.epoch_reclaimed = epoch.reclaimed_total();
 
+  // ---- Gate 4: warmed /plan hits through the HTTP request path.
+  results.http = measure_http_hits(requests, http_requests);
+
   // ---- Informational: cold compute_plan() cost per shape.
   {
     EpochDomain::Reader reader(epoch);
@@ -328,6 +427,16 @@ int main(int argc, char** argv) {
     ++violations;
     std::cerr << "ALLOC VIOLATION: " << results.hit_loop_allocs
               << " heap allocations on the cache-hit path\n";
+  }
+  if (results.http.mismatches > 0) {
+    ++violations;
+    std::cerr << "HTTP IDENTITY VIOLATION: " << results.http.mismatches
+              << " /plan answers diverged from direct planner output\n";
+  }
+  if (results.http.allocs > 0) {
+    ++violations;
+    std::cerr << "HTTP ALLOC VIOLATION: " << results.http.allocs
+              << " heap allocations on the HTTP /plan hit path\n";
   }
   if (results.queries_per_second < 1e6) {
     ++violations;
@@ -351,7 +460,11 @@ int main(int argc, char** argv) {
             << results.publishes << " publishes\n"
             << "cache: " << results.cache.hits << " hits, "
             << results.cache.misses << " misses, "
-            << results.cache.invalidated << " invalidated\n";
+            << results.cache.invalidated << " invalidated\n"
+            << "http hit: " << results.http.requests << " requests, p50 "
+            << results.http.us_p50 << " us, p90 " << results.http.us_p90
+            << " us, " << results.http.allocs << " allocs, "
+            << results.http.mismatches << " mismatches\n";
   for (const ColdCompute& row : results.cold) {
     std::cout << "cold compute: " << plan_kind_name(row.kind) << " width "
               << row.width << ": p50 " << row.us_p50 << " us, p90 "
@@ -386,6 +499,11 @@ int main(int argc, char** argv) {
        << ", \"replaced\": " << results.cache.replaced << "},\n"
        << "  \"epoch\": {\"reclaimed\": " << results.epoch_reclaimed
        << "},\n"
+       << "  \"http_hit\": {\"requests\": " << results.http.requests
+       << ", \"steady_state_allocs\": " << results.http.allocs
+       << ", \"mismatches\": " << results.http.mismatches
+       << ", \"us_p50\": " << results.http.us_p50
+       << ", \"us_p90\": " << results.http.us_p90 << "},\n"
        << "  \"cold_compute\": [";
   for (std::size_t k = 0; k < results.cold.size(); ++k) {
     const ColdCompute& row = results.cold[k];

@@ -20,7 +20,6 @@ Mapping greedy_mapping(const TaskGraph& tasks,
                  "task and machine counts must match");
   constexpr auto kUnmapped = std::numeric_limits<std::size_t>::max();
   Mapping task_to_machine(n, kUnmapped);
-  std::vector<std::size_t> machine_to_task(n, kUnmapped);
 
   auto heaviest = [](auto&& weight, const std::vector<bool>& used,
                      std::size_t count) {
@@ -48,46 +47,49 @@ Mapping greedy_mapping(const TaskGraph& tasks,
   machine_used[v0] = true;
   task_used[s0] = true;
   task_to_machine[s0] = v0;
-  machine_to_task[v0] = s0;
 
   // Expansion: next machine = unmapped machine with the strongest total
   // connection to the mapped machines; next task = unmapped task with
   // the heaviest total connection to the tasks already placed on those
-  // mapped machines.
+  // mapped machines. Both sums run over the mapped sets in ascending
+  // index order, adding the pair sums precomputed below, so they are
+  // the same additions in the same order as a scan of all n indices
+  // that skips the unmapped ones — without the branch.
+  std::vector<double> link_pair(n * n), volume_pair(n * n);
+  for (std::size_t a = 0; a < n; ++a) {
+    for (std::size_t b = 0; b < n; ++b) {
+      link_pair[a * n + b] =
+          machines.bandwidth(a, b) + machines.bandwidth(b, a);
+      volume_pair[a * n + b] = tasks.volume(a, b) + tasks.volume(b, a);
+    }
+  }
+  const auto connection = [n](const std::vector<double>& pair,
+                              const std::vector<std::size_t>& mapped) {
+    return [&pair, &mapped, n](std::size_t i) {
+      const double* row = pair.data() + i * n;
+      double sum = 0.0;
+      for (const std::size_t j : mapped) sum += row[j];
+      return sum;
+    };
+  };
+  const auto insert_sorted = [](std::vector<std::size_t>& set,
+                                std::size_t index) {
+    set.insert(std::upper_bound(set.begin(), set.end(), index), index);
+  };
+  std::vector<std::size_t> mapped_machines{v0}, mapped_tasks{s0};
+  mapped_machines.reserve(n);
+  mapped_tasks.reserve(n);
   for (std::size_t placed = 1; placed < n; ++placed) {
-    std::size_t best_machine = n;
-    double best_bw = -1.0;
-    for (std::size_t i = 0; i < n; ++i) {
-      if (machine_used[i]) continue;
-      double bw = 0.0;
-      for (std::size_t j = 0; j < n; ++j) {
-        if (!machine_used[j]) continue;
-        bw += machines.bandwidth(i, j) + machines.bandwidth(j, i);
-      }
-      if (bw > best_bw) {
-        best_bw = bw;
-        best_machine = i;
-      }
-    }
-    std::size_t best_task = n;
-    double best_volume = -1.0;
-    for (std::size_t u = 0; u < n; ++u) {
-      if (task_used[u]) continue;
-      double vol = 0.0;
-      for (std::size_t w = 0; w < n; ++w) {
-        if (!task_used[w]) continue;
-        vol += tasks.volume(u, w) + tasks.volume(w, u);
-      }
-      if (vol > best_volume) {
-        best_volume = vol;
-        best_task = u;
-      }
-    }
+    const std::size_t best_machine = heaviest(
+        connection(link_pair, mapped_machines), machine_used, n);
+    const std::size_t best_task =
+        heaviest(connection(volume_pair, mapped_tasks), task_used, n);
     NETCONST_ASSERT(best_machine < n && best_task < n);
     machine_used[best_machine] = true;
     task_used[best_task] = true;
     task_to_machine[best_task] = best_machine;
-    machine_to_task[best_machine] = best_task;
+    insert_sorted(mapped_machines, best_machine);
+    insert_sorted(mapped_tasks, best_task);
   }
   return task_to_machine;
 }

@@ -8,24 +8,32 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
-#include <algorithm>
-#include <cctype>
 #include <cerrno>
+#include <charconv>
 #include <cstring>
+#include <iterator>
 
 #include "support/error.hpp"
 
 namespace netconst::serving {
 
+HttpFields::Field& HttpFields::append() {
+  if (size_ == slots_.size()) slots_.emplace_back();
+  Field& field = slots_[size_++];
+  field.first.clear();
+  field.second.clear();
+  return field;
+}
+
 const std::string& HttpRequest::query_value(
-    const std::string& name, const std::string& fallback) const {
+    std::string_view name, const std::string& fallback) const {
   for (const auto& [key, value] : query) {
     if (key == name) return value;
   }
   return fallback;
 }
 
-bool HttpRequest::has_query(const std::string& name) const {
+bool HttpRequest::has_query(std::string_view name) const {
   for (const auto& [key, value] : query) {
     if (key == name) return true;
   }
@@ -34,53 +42,123 @@ bool HttpRequest::has_query(const std::string& name) const {
 
 namespace {
 
+constexpr const char* kPlainText = "text/plain; charset=utf-8";
+
 void set_nonblocking(int fd) {
   const int flags = ::fcntl(fd, F_GETFL, 0);
   if (flags >= 0) ::fcntl(fd, F_SETFL, flags | O_NONBLOCK);
 }
 
-std::string to_lower(std::string text) {
-  std::transform(text.begin(), text.end(), text.begin(), [](char c) {
-    return static_cast<char>(
-        std::tolower(static_cast<unsigned char>(c)));
-  });
-  return text;
+char lower_ascii(char c) {
+  return c >= 'A' && c <= 'Z' ? static_cast<char>(c - 'A' + 'a') : c;
 }
 
-/// Percent-decode; '+' becomes a space (query-string convention).
-std::string url_decode(const std::string& text) {
-  std::string out;
-  out.reserve(text.size());
+/// Case-insensitive match against a lower-case literal.
+bool equals_lower(std::string_view text, std::string_view lower) {
+  if (text.size() != lower.size()) return false;
+  for (std::size_t k = 0; k < text.size(); ++k) {
+    if (lower_ascii(text[k]) != lower[k]) return false;
+  }
+  return true;
+}
+
+int hex_value(char h) {
+  if (h >= '0' && h <= '9') return h - '0';
+  if (h >= 'a' && h <= 'f') return h - 'a' + 10;
+  if (h >= 'A' && h <= 'F') return h - 'A' + 10;
+  return -1;
+}
+
+/// Percent-decode `text` into `out`, replacing its contents; '+'
+/// becomes a space (query-string convention) and a '%' without two hex
+/// digits after it stays literal.
+void url_decode(std::string_view text, std::string& out) {
+  out.clear();
   for (std::size_t k = 0; k < text.size(); ++k) {
     const char c = text[k];
     if (c == '+') {
       out.push_back(' ');
     } else if (c == '%' && k + 2 < text.size() &&
-               std::isxdigit(static_cast<unsigned char>(text[k + 1])) &&
-               std::isxdigit(static_cast<unsigned char>(text[k + 2]))) {
-      const auto nibble = [](char h) -> int {
-        if (h >= '0' && h <= '9') return h - '0';
-        if (h >= 'a' && h <= 'f') return h - 'a' + 10;
-        return h - 'A' + 10;
-      };
-      out.push_back(static_cast<char>(nibble(text[k + 1]) * 16 +
-                                      nibble(text[k + 2])));
+               hex_value(text[k + 1]) >= 0 && hex_value(text[k + 2]) >= 0) {
+      out.push_back(static_cast<char>(hex_value(text[k + 1]) * 16 +
+                                      hex_value(text[k + 2])));
       k += 2;
     } else {
       out.push_back(c);
     }
   }
-  return out;
+}
+
+template <typename Integer>
+void append_decimal(std::string& out, Integer value) {
+  char digits[24];
+  const auto end = std::to_chars(digits, std::end(digits), value).ptr;
+  out.append(digits, end);
 }
 
 }  // namespace
 
-struct HttpServer::Connection {
-  int fd = -1;
-  std::string input;   // bytes received, request head accumulating
-  std::string output;  // bytes pending write
-  bool close_after_write = false;
-};
+RequestError parse_request(std::string_view head, HttpRequest& out) {
+  // ---- Request line: METHOD SP target SP HTTP/...
+  const std::size_t line_end = head.find("\r\n");
+  const std::string_view line = head.substr(0, line_end);
+  const std::size_t method_end = line.find(' ');
+  if (method_end == std::string_view::npos) return RequestError::NoTarget;
+  const std::size_t target_end = line.find(' ', method_end + 1);
+  if (target_end == std::string_view::npos) return RequestError::NoTarget;
+  if (line.substr(target_end + 1, 5) != "HTTP/") return RequestError::NotHttp;
+
+  out.method.assign(line.substr(0, method_end));
+  const std::string_view target =
+      line.substr(method_end + 1, target_end - method_end - 1);
+  const std::size_t question = target.find('?');
+  url_decode(target.substr(0, question), out.path);
+  out.query.clear();
+  if (question != std::string_view::npos) {
+    // key=value&key=value...
+    std::size_t cursor = question + 1;
+    while (cursor <= target.size()) {
+      std::size_t amp = target.find('&', cursor);
+      if (amp == std::string_view::npos) amp = target.size();
+      const std::string_view pair = target.substr(cursor, amp - cursor);
+      if (!pair.empty()) {
+        const std::size_t eq = pair.find('=');
+        HttpFields::Field& field = out.query.append();
+        url_decode(pair.substr(0, eq), field.first);
+        if (eq != std::string_view::npos) {
+          url_decode(pair.substr(eq + 1), field.second);
+        }
+      }
+      cursor = amp + 1;
+    }
+  }
+
+  // ---- Headers (lower-cased names, values without leading blanks).
+  out.headers.clear();
+  out.keep_alive = true;  // HTTP/1.1 default
+  std::size_t cursor =
+      line_end == std::string_view::npos ? head.size() : line_end + 2;
+  while (cursor < head.size()) {
+    std::size_t eol = head.find("\r\n", cursor);
+    if (eol == std::string_view::npos) eol = head.size();
+    const std::string_view field_line = head.substr(cursor, eol - cursor);
+    cursor = eol + 2;
+    const std::size_t colon = field_line.find(':');
+    if (colon == std::string_view::npos) continue;
+    std::string_view value = field_line.substr(colon + 1);
+    const std::size_t first = value.find_first_not_of(" \t");
+    value.remove_prefix(first == std::string_view::npos ? value.size()
+                                                        : first);
+    HttpFields::Field& field = out.headers.append();
+    field.first.assign(field_line.substr(0, colon));
+    for (char& c : field.first) c = lower_ascii(c);
+    field.second.assign(value);
+    if (field.first == "connection" && equals_lower(value, "close")) {
+      out.keep_alive = false;
+    }
+  }
+  return RequestError::None;
+}
 
 HttpServer::HttpServer(const Options& options) : options_(options) {}
 
@@ -199,27 +277,33 @@ void HttpServer::accept_connections() {
   }
 }
 
-HttpResponse HttpServer::dispatch(const HttpRequest& request) {
+void HttpServer::dispatch(const HttpRequest& request,
+                          HttpResponse& response) {
   const auto it = routes_.find(request.path);
   if (it == routes_.end()) {
     not_found_.fetch_add(1, std::memory_order_relaxed);
-    return {404, "text/plain; charset=utf-8", "not found\n"};
+    response.status = 404;
+    response.body.assign("not found\n");
+    return;
   }
   try {
-    return it->second(request);
+    it->second(request, response);
   } catch (const std::exception& error) {
-    return {500, "text/plain; charset=utf-8",
-            std::string("internal error: ") + error.what() + "\n"};
+    response.status = 500;
+    response.content_type.assign(kPlainText);
+    response.body.assign("internal error: ");
+    response.body += error.what();
+    response.body += '\n';
   }
 }
 
-bool HttpServer::service_input(Connection& connection) {
-  // Process every complete request head in the buffer (pipelining-safe,
-  // though clients here send one at a time).
-  for (;;) {
-    const std::size_t head_end = connection.input.find("\r\n\r\n");
-    if (head_end == std::string::npos) {
-      if (connection.input.size() > options_.max_request_bytes) {
+void HttpServer::service_input(Connection& connection) {
+  const std::string_view input = connection.input;
+  std::size_t consumed = 0;
+  while (!connection.close_after_write) {
+    const std::size_t head_end = input.find("\r\n\r\n", consumed);
+    if (head_end == std::string_view::npos) {
+      if (input.size() - consumed > options_.max_request_bytes) {
         bad_.fetch_add(1, std::memory_order_relaxed);
         connection.output +=
             "HTTP/1.1 413 Content Too Large\r\nContent-Length: 0\r\n"
@@ -229,107 +313,53 @@ bool HttpServer::service_input(Connection& connection) {
         // output from here on (the event loop stops reading once
         // close_after_write is set), so the bytes are dead weight.
         connection.input.clear();
+        return;
       }
-      return true;
+      break;
     }
+    const std::string_view head = input.substr(consumed, head_end - consumed);
+    consumed = head_end + 4;
 
-    // ---- Parse the request line.
-    const std::string head = connection.input.substr(0, head_end);
-    connection.input.erase(0, head_end + 4);
-    const std::size_t line_end = head.find("\r\n");
-    const std::string request_line =
-        line_end == std::string::npos ? head : head.substr(0, line_end);
-    const std::size_t method_end = request_line.find(' ');
-    const std::size_t target_end =
-        method_end == std::string::npos
-            ? std::string::npos
-            : request_line.find(' ', method_end + 1);
-    if (method_end == std::string::npos ||
-        target_end == std::string::npos ||
-        request_line.compare(target_end + 1, 5, "HTTP/") != 0) {
+    if (parse_request(head, request_) != RequestError::None) {
       bad_.fetch_add(1, std::memory_order_relaxed);
       connection.output +=
           "HTTP/1.1 400 Bad Request\r\nContent-Length: 0\r\n"
           "Connection: close\r\n\r\n";
       connection.close_after_write = true;
-      return true;
+      break;
     }
 
-    HttpRequest request;
-    request.method = request_line.substr(0, method_end);
-    const std::string target =
-        request_line.substr(method_end + 1, target_end - method_end - 1);
-    const std::size_t question = target.find('?');
-    request.path = url_decode(target.substr(0, question));
-    if (question != std::string::npos) {
-      // key=value&key=value...
-      std::size_t cursor = question + 1;
-      while (cursor <= target.size()) {
-        std::size_t amp = target.find('&', cursor);
-        if (amp == std::string::npos) amp = target.size();
-        const std::string pair = target.substr(cursor, amp - cursor);
-        if (!pair.empty()) {
-          const std::size_t eq = pair.find('=');
-          request.query.emplace_back(
-              url_decode(pair.substr(0, eq)),
-              eq == std::string::npos ? std::string()
-                                      : url_decode(pair.substr(eq + 1)));
-        }
-        cursor = amp + 1;
-      }
-    }
-
-    // ---- Headers (lower-cased names, trimmed values).
-    std::size_t cursor = line_end == std::string::npos ? head.size()
-                                                       : line_end + 2;
-    bool keep_alive = true;  // HTTP/1.1 default
-    while (cursor < head.size()) {
-      std::size_t eol = head.find("\r\n", cursor);
-      if (eol == std::string::npos) eol = head.size();
-      const std::string line = head.substr(cursor, eol - cursor);
-      cursor = eol + 2;
-      const std::size_t colon = line.find(':');
-      if (colon == std::string::npos) continue;
-      std::string value = line.substr(colon + 1);
-      const std::size_t first = value.find_first_not_of(" \t");
-      value.erase(0, first == std::string::npos ? value.size() : first);
-      request.headers.emplace_back(to_lower(line.substr(0, colon)),
-                                   std::move(value));
-    }
-    for (const auto& [name, value] : request.headers) {
-      if (name == "connection" && to_lower(value) == "close") {
-        keep_alive = false;
-      }
-    }
-
-    // ---- Dispatch and serialize.
-    HttpResponse response;
-    const bool head_only = request.method == "HEAD";
-    if (request.method != "GET" && !head_only) {
+    // ---- Dispatch into the reused response, then serialize.
+    bool keep_alive = request_.keep_alive;
+    const bool head_only = request_.method == "HEAD";
+    response_.status = 200;
+    response_.content_type.assign(kPlainText);
+    response_.body.clear();
+    if (request_.method != "GET" && !head_only) {
       bad_.fetch_add(1, std::memory_order_relaxed);
-      response = {405, "text/plain; charset=utf-8",
-                  "only GET and HEAD are supported\n"};
+      response_.status = 405;
+      response_.body.assign("only GET and HEAD are supported\n");
       keep_alive = false;
     } else {
-      response = dispatch(request);
+      dispatch(request_, response_);
     }
     served_.fetch_add(1, std::memory_order_relaxed);
 
-    connection.output += "HTTP/1.1 " + std::to_string(response.status) +
-                         ' ' + status_phrase(response.status) + "\r\n";
-    connection.output +=
-        "Content-Type: " + response.content_type + "\r\n";
-    connection.output +=
-        "Content-Length: " + std::to_string(response.body.size()) +
-        "\r\n";
-    connection.output += keep_alive ? "Connection: keep-alive\r\n\r\n"
-                                    : "Connection: close\r\n\r\n";
-    if (!head_only) connection.output += response.body;
-    if (!keep_alive) {
-      connection.close_after_write = true;
-      return true;
-    }
+    std::string& out = connection.output;
+    out += "HTTP/1.1 ";
+    append_decimal(out, response_.status);
+    out += ' ';
+    out += status_phrase(response_.status);
+    out += "\r\nContent-Type: ";
+    out += response_.content_type;
+    out += "\r\nContent-Length: ";
+    append_decimal(out, response_.body.size());
+    out += keep_alive ? "\r\nConnection: keep-alive\r\n\r\n"
+                      : "\r\nConnection: close\r\n\r\n";
+    if (!head_only) out += response_.body;
+    if (!keep_alive) connection.close_after_write = true;
   }
+  connection.input.erase(0, consumed);
 }
 
 void HttpServer::event_loop() {
@@ -391,9 +421,7 @@ void HttpServer::event_loop() {
             break;
           }
         }
-        if (!connection.input.empty() && !service_input(connection)) {
-          alive = false;
-        }
+        if (!connection.input.empty()) service_input(connection);
       }
 
       if (alive && !connection.output.empty()) {

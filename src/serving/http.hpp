@@ -23,25 +23,64 @@
 #include <map>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <utility>
 #include <vector>
 
 namespace netconst::serving {
 
+/// Ordered name/value pairs whose slots survive clear(): refilling the
+/// list reuses each string's capacity, so a request object that is
+/// parsed into over and over stops allocating once warm.
+class HttpFields {
+ public:
+  using Field = std::pair<std::string, std::string>;
+
+  const Field* begin() const { return slots_.data(); }
+  const Field* end() const { return slots_.data() + size_; }
+  std::size_t size() const { return size_; }
+  bool empty() const { return size_ == 0; }
+  void clear() { size_ = 0; }
+  /// The next slot, emptied (an old slot when one is free).
+  Field& append();
+
+ private:
+  std::vector<Field> slots_;
+  std::size_t size_ = 0;
+};
+
 struct HttpRequest {
-  std::string method;  // upper-case: "GET", "HEAD"
+  std::string method;  // as sent: "GET", "HEAD", ...
   std::string path;    // percent-decoded, no query string
   /// Query parameters in order of appearance, percent-decoded.
-  std::vector<std::pair<std::string, std::string>> query;
-  /// Header fields, names lower-cased.
-  std::vector<std::pair<std::string, std::string>> headers;
+  HttpFields query;
+  /// Header fields, names lower-cased, values without leading blanks.
+  HttpFields headers;
+  /// False when a `Connection: close` header asked to end the session.
+  bool keep_alive = true;
 
   /// First value of a query parameter, or `fallback`.
-  const std::string& query_value(const std::string& name,
+  const std::string& query_value(std::string_view name,
                                  const std::string& fallback) const;
-  bool has_query(const std::string& name) const;
+  bool has_query(std::string_view name) const;
 };
+
+/// Why parse_request() rejected a head; every error is answered 400.
+enum class RequestError {
+  None,
+  /// The request line lacks the two spaces around the target.
+  NoTarget,
+  /// The text after the target does not start with "HTTP/".
+  NotHttp,
+};
+
+/// Parse one request head (the bytes before the blank line that ends
+/// it, without that CRLFCRLF) into `out`. Pure: no I/O and no state
+/// beyond `out`, whose strings and field slots are reused, so parsing
+/// into one long-lived request allocates nothing once its buffers have
+/// grown to the traffic's sizes. On an error `out` is unspecified.
+RequestError parse_request(std::string_view head, HttpRequest& out);
 
 struct HttpResponse {
   int status = 200;
@@ -49,7 +88,11 @@ struct HttpResponse {
   std::string body;
 };
 
-using HttpHandler = std::function<HttpResponse(const HttpRequest&)>;
+/// Fills `response`, which arrives as a fresh 200 text/plain with an
+/// empty body but keeps the capacity of earlier answers: assigning into
+/// its strings instead of replacing them keeps a warm route
+/// allocation-free.
+using HttpHandler = std::function<void(const HttpRequest&, HttpResponse&)>;
 
 struct HttpServerOptions {
   /// Loopback by default: the embedded endpoint is an operator /
@@ -100,14 +143,33 @@ class HttpServer {
   /// Reason phrase for the few status codes the server emits.
   static const char* status_phrase(int status);
 
- private:
-  struct Connection;
+  /// One client connection's buffers. The event loop only moves bytes
+  /// between a socket and these buffers; everything in between runs in
+  /// service_input(), which tests and benches drive without sockets.
+  struct Connection {
+    int fd = -1;
+    std::string input;   // bytes received, not yet answered
+    std::string output;  // bytes pending write
+    /// Set once an answer ends the session: the loop stops reading and
+    /// closes after draining `output`.
+    bool close_after_write = false;
+  };
 
+  /// Answer every complete request head in `connection.input` (any
+  /// number, so pipelining works): frame, parse_request(), dispatch,
+  /// and append the serialized responses to `connection.output`. The
+  /// answered bytes leave `input` in one erase per call; an incomplete
+  /// head stays for the next read, or is answered 413 once it exceeds
+  /// max_request_bytes. Runs handlers on the calling thread with one
+  /// request and one response object owned by the server, so it must
+  /// never run on two threads at once: the event loop calls it while
+  /// the server runs, anyone else only while it is stopped.
+  void service_input(Connection& connection);
+
+ private:
   void event_loop();
   void accept_connections();
-  /// Returns false when the connection must be closed.
-  bool service_input(Connection& connection);
-  HttpResponse dispatch(const HttpRequest& request);
+  void dispatch(const HttpRequest& request, HttpResponse& response);
 
   Options options_;
   std::map<std::string, HttpHandler> routes_;
@@ -122,6 +184,9 @@ class HttpServer {
   int wake_write_fd_ = -1;
   std::uint16_t port_ = 0;
   std::vector<Connection*> connections_;
+  /// Parse target and answer, reused by every service_input() call.
+  HttpRequest request_;
+  HttpResponse response_;
 
   std::atomic<std::uint64_t> accepted_{0};
   std::atomic<std::uint64_t> refused_{0};

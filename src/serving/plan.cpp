@@ -25,21 +25,28 @@ const char* plan_kind_name(PlanKind kind) {
 PlanRequest canonical_plan_request(PlanKind kind,
                                    std::vector<std::size_t> nodes,
                                    std::size_t root, std::uint64_t bytes) {
-  std::sort(nodes.begin(), nodes.end());
-  nodes.erase(std::unique(nodes.begin(), nodes.end()), nodes.end());
-  NETCONST_CHECK(nodes.size() >= 2, "a plan needs at least two nodes");
-  NETCONST_CHECK(bytes > 0, "message size must be positive");
-  if (kind == PlanKind::BroadcastTree) {
-    NETCONST_CHECK(
-        std::binary_search(nodes.begin(), nodes.end(), root),
-        "broadcast root must be a member of the node set");
-  }
   PlanRequest request;
   request.kind = kind;
   request.nodes = std::move(nodes);
-  request.root = kind == PlanKind::BroadcastTree ? root : 0;
+  request.root = root;
   request.bytes = bytes;
+  canonicalize_plan_request(request);
   return request;
+}
+
+void canonicalize_plan_request(PlanRequest& request) {
+  std::vector<std::size_t>& nodes = request.nodes;
+  std::sort(nodes.begin(), nodes.end());
+  nodes.erase(std::unique(nodes.begin(), nodes.end()), nodes.end());
+  NETCONST_CHECK(nodes.size() >= 2, "a plan needs at least two nodes");
+  NETCONST_CHECK(request.bytes > 0, "message size must be positive");
+  if (request.kind == PlanKind::BroadcastTree) {
+    NETCONST_CHECK(
+        std::binary_search(nodes.begin(), nodes.end(), request.root),
+        "broadcast root must be a member of the node set");
+  } else {
+    request.root = 0;
+  }
 }
 
 std::uint64_t plan_request_hash(std::size_t tenant_index,

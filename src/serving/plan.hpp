@@ -52,6 +52,11 @@ PlanRequest canonical_plan_request(PlanKind kind,
                                    std::vector<std::size_t> nodes,
                                    std::size_t root, std::uint64_t bytes);
 
+/// canonical_plan_request() in place: sorts and deduplicates
+/// `request.nodes` inside its own storage (no allocation), validates,
+/// and zeroes the root of a mapping request. Same contract and throws.
+void canonicalize_plan_request(PlanRequest& request);
+
 /// FNV-1a over the canonical request plus the (tenant, version) the
 /// plan would be computed at. Allocation-free.
 std::uint64_t plan_request_hash(std::size_t tenant_index,

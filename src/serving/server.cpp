@@ -1,6 +1,8 @@
 #include "serving/server.hpp"
 
+#include <charconv>
 #include <sstream>
+#include <system_error>
 
 #include "obs/export.hpp"
 #include "obs/trace.hpp"
@@ -12,6 +14,7 @@ namespace netconst::serving {
 namespace {
 
 constexpr const char* kJsonContentType = "application/json";
+constexpr const char* kPlainText = "text/plain; charset=utf-8";
 
 /// Observe a latency histogram on scope exit (success and error paths).
 class LatencyScope {
@@ -32,11 +35,88 @@ void write_double(std::ostream& out, double value) {
   out << os.str();
 }
 
-HttpResponse bad_request(const std::string& message) {
-  return {400, "text/plain; charset=utf-8", message + "\n"};
+void plain_answer(HttpResponse& response, int status,
+                  std::string_view message) {
+  response.status = status;
+  response.content_type.assign(kPlainText);
+  response.body.assign(message);
+  response.body += '\n';
+}
+
+void bad_request(HttpResponse& response, std::string_view message) {
+  plain_answer(response, 400, message);
+}
+
+/// The whole of `text` as a plain decimal: digits only, no sign or
+/// blank, no overflow.
+template <typename Integer>
+bool parse_decimal(std::string_view text, Integer& value) {
+  const char* const end = text.data() + text.size();
+  const auto [stop, error] = std::from_chars(text.data(), end, value);
+  return error == std::errc() && stop == end;
 }
 
 }  // namespace
+
+const char* plan_query_error_message(PlanQueryError error) {
+  switch (error) {
+    case PlanQueryError::None:
+      return "ok";
+    case PlanQueryError::BadKind:
+      return "kind must be tree or mapping";
+    case PlanQueryError::MissingNodes:
+      return "missing ?nodes=0,1,2";
+    case PlanQueryError::BadNodes:
+      return "nodes must be a comma-separated id list";
+    case PlanQueryError::BadRootOrBytes:
+      return "root and bytes must be integers";
+  }
+  return "bad query";
+}
+
+PlanQueryError parse_plan_query(const HttpRequest& request, PlanQuery& out) {
+  static const std::string kEmpty;
+  static const std::string kTree = "tree";
+  out.tenant = request.query_value("tenant", kEmpty);
+
+  const std::string& kind_name = request.query_value("kind", kTree);
+  if (kind_name == "tree" || kind_name == "broadcast_tree") {
+    out.request.kind = PlanKind::BroadcastTree;
+  } else if (kind_name == "mapping" || kind_name == "topology_mapping") {
+    out.request.kind = PlanKind::TopologyMapping;
+  } else {
+    return PlanQueryError::BadKind;
+  }
+
+  const std::string_view node_list = request.query_value("nodes", kEmpty);
+  if (node_list.empty()) return PlanQueryError::MissingNodes;
+  std::vector<std::size_t>& nodes = out.request.nodes;
+  nodes.clear();
+  std::size_t cursor = 0;
+  while (cursor <= node_list.size()) {
+    std::size_t comma = node_list.find(',', cursor);
+    if (comma == std::string_view::npos) comma = node_list.size();
+    const std::string_view token = node_list.substr(cursor, comma - cursor);
+    cursor = comma + 1;
+    if (token.empty()) continue;
+    std::size_t node = 0;
+    if (!parse_decimal(token, node)) return PlanQueryError::BadNodes;
+    nodes.push_back(node);
+  }
+
+  out.request.root = nodes.empty() ? 0 : nodes.front();
+  if (request.has_query("root") &&
+      !parse_decimal(request.query_value("root", kEmpty), out.request.root)) {
+    return PlanQueryError::BadRootOrBytes;
+  }
+  out.request.bytes = PlanRequest{}.bytes;
+  if (request.has_query("bytes") &&
+      !parse_decimal(request.query_value("bytes", kEmpty),
+                     out.request.bytes)) {
+    return PlanQueryError::BadRootOrBytes;
+  }
+  return PlanQueryError::None;
+}
 
 ConstantServer::ConstantServer(online::ConstantFinderService& service,
                                const ConstantServerOptions& options)
@@ -71,20 +151,24 @@ ConstantServer::ConstantServer(online::ConstantFinderService& service,
   service.set_snapshot_sink(&store_);
   http_reader_ = std::make_unique<EpochDomain::Reader>(epoch_);
 
-  http_.route("/healthz",
-              [this](const HttpRequest& r) { return handle_healthz(r); });
-  http_.route("/metrics",
-              [this](const HttpRequest& r) { return handle_metrics(r); });
-  http_.route("/telemetry", [this](const HttpRequest& r) {
-    return handle_telemetry(r);
+  http_.route("/healthz", [this](const HttpRequest& q, HttpResponse& r) {
+    handle_healthz(q, r);
   });
-  http_.route("/tenants",
-              [this](const HttpRequest& r) { return handle_tenants(r); });
-  http_.route("/snapshot", [this](const HttpRequest& r) {
-    return handle_snapshot(r);
+  http_.route("/metrics", [this](const HttpRequest& q, HttpResponse& r) {
+    handle_metrics(q, r);
   });
-  http_.route("/plan",
-              [this](const HttpRequest& r) { return handle_plan(r); });
+  http_.route("/telemetry", [this](const HttpRequest& q, HttpResponse& r) {
+    handle_telemetry(q, r);
+  });
+  http_.route("/tenants", [this](const HttpRequest& q, HttpResponse& r) {
+    handle_tenants(q, r);
+  });
+  http_.route("/snapshot", [this](const HttpRequest& q, HttpResponse& r) {
+    handle_snapshot(q, r);
+  });
+  http_.route("/plan", [this](const HttpRequest& q, HttpResponse& r) {
+    handle_plan(q, r);
+  });
 }
 
 ConstantServer::~ConstantServer() {
@@ -118,30 +202,36 @@ void ConstantServer::sync_serving_metrics() {
       .set(static_cast<double>(http.bad_requests));
 }
 
-HttpResponse ConstantServer::handle_healthz(const HttpRequest&) {
+void ConstantServer::handle_healthz(const HttpRequest&,
+                                    HttpResponse& response) {
   LatencyScope latency(healthz_seconds_);
-  return {200, "text/plain; charset=utf-8", "ok\n"};
+  plain_answer(response, 200, "ok");
 }
 
-HttpResponse ConstantServer::handle_metrics(const HttpRequest&) {
+void ConstantServer::handle_metrics(const HttpRequest&,
+                                    HttpResponse& response) {
   obs::Span span("serving.http.metrics");
   LatencyScope latency(metrics_seconds_);
   sync_serving_metrics();
   std::ostringstream out;
   service_->write_prometheus(out);
-  return {200, obs::kPrometheusContentType, out.str()};
+  response.content_type.assign(obs::kPrometheusContentType);
+  response.body = out.str();
 }
 
-HttpResponse ConstantServer::handle_telemetry(const HttpRequest&) {
+void ConstantServer::handle_telemetry(const HttpRequest&,
+                                      HttpResponse& response) {
   obs::Span span("serving.http.telemetry");
   LatencyScope latency(telemetry_seconds_);
   sync_serving_metrics();
   std::ostringstream out;
   service_->write_json_snapshot(out);
-  return {200, kJsonContentType, out.str()};
+  response.content_type.assign(kJsonContentType);
+  response.body = out.str();
 }
 
-HttpResponse ConstantServer::handle_tenants(const HttpRequest&) {
+void ConstantServer::handle_tenants(const HttpRequest&,
+                                    HttpResponse& response) {
   LatencyScope latency(tenants_seconds_);
   std::ostringstream out;
   out << "{\"tenants\":[";
@@ -152,23 +242,24 @@ HttpResponse ConstantServer::handle_tenants(const HttpRequest&) {
         << "\",\"version\":" << store_.version(k) << '}';
   }
   out << "]}";
-  return {200, kJsonContentType, out.str()};
+  response.content_type.assign(kJsonContentType);
+  response.body = out.str();
 }
 
-HttpResponse ConstantServer::handle_snapshot(const HttpRequest& request) {
+void ConstantServer::handle_snapshot(const HttpRequest& request,
+                                     HttpResponse& response) {
   obs::Span span("serving.http.snapshot");
   LatencyScope latency(snapshot_seconds_);
   static const std::string kEmpty;
   const std::string& tenant = request.query_value("tenant", kEmpty);
-  if (tenant.empty()) return bad_request("missing ?tenant=");
+  if (tenant.empty()) return bad_request(response, "missing ?tenant=");
   const std::size_t index = store_.find(tenant);
   if (index == SnapshotStore::npos) {
-    return {404, "text/plain; charset=utf-8", "unknown tenant\n"};
+    return plain_answer(response, 404, "unknown tenant");
   }
   const SnapshotStore::Ref ref = store_.acquire(index, *http_reader_);
   if (!ref) {
-    return {503, "text/plain; charset=utf-8",
-            "tenant has not published yet\n"};
+    return plain_answer(response, 503, "tenant has not published yet");
   }
 
   const ConstantSnapshot& snapshot = *ref;
@@ -205,7 +296,8 @@ HttpResponse ConstantServer::handle_snapshot(const HttpRequest& request) {
     out << ']';
   }
   out << '}';
-  return {200, kJsonContentType, out.str()};
+  response.content_type.assign(kJsonContentType);
+  response.body = out.str();
 }
 
 std::string ConstantServer::plan_json(const std::string& tenant,
@@ -225,74 +317,39 @@ std::string ConstantServer::plan_json(const std::string& tenant,
   return plan->json;
 }
 
-HttpResponse ConstantServer::handle_plan(const HttpRequest& request) {
+void ConstantServer::handle_plan(const HttpRequest& request,
+                                 HttpResponse& response) {
   obs::Span span("serving.http.plan");
   LatencyScope latency(plan_seconds_);
-  static const std::string kEmpty;
-  static const std::string kTree = "tree";
-  static const std::string kDefaultBytes = "8388608";
-
-  const std::string& tenant = request.query_value("tenant", kEmpty);
-  if (tenant.empty()) return bad_request("missing ?tenant=");
-  const std::size_t index = store_.find(tenant);
+  const PlanQueryError error = parse_plan_query(request, plan_query_);
+  if (plan_query_.tenant.empty()) {
+    return bad_request(response, "missing ?tenant=");
+  }
+  const std::size_t index = store_.find(plan_query_.tenant);
   if (index == SnapshotStore::npos) {
-    return {404, "text/plain; charset=utf-8", "unknown tenant\n"};
+    return plain_answer(response, 404, "unknown tenant");
   }
-
-  const std::string& kind_name = request.query_value("kind", kTree);
-  PlanKind kind;
-  if (kind_name == "tree" || kind_name == "broadcast_tree") {
-    kind = PlanKind::BroadcastTree;
-  } else if (kind_name == "mapping" || kind_name == "topology_mapping") {
-    kind = PlanKind::TopologyMapping;
-  } else {
-    return bad_request("kind must be tree or mapping");
-  }
-
-  const std::string& node_list = request.query_value("nodes", kEmpty);
-  if (node_list.empty()) return bad_request("missing ?nodes=0,1,2");
-  std::vector<std::size_t> nodes;
-  std::size_t cursor = 0;
-  while (cursor <= node_list.size()) {
-    std::size_t comma = node_list.find(',', cursor);
-    if (comma == std::string::npos) comma = node_list.size();
-    const std::string token = node_list.substr(cursor, comma - cursor);
-    cursor = comma + 1;
-    if (token.empty()) continue;
-    try {
-      nodes.push_back(std::stoul(token));
-    } catch (const std::exception&) {
-      return bad_request("nodes must be a comma-separated id list");
-    }
-  }
-
-  std::size_t root = 0;
-  std::uint64_t bytes = 0;
-  try {
-    root = std::stoul(request.query_value(
-        "root", nodes.empty() ? std::string("0")
-                              : std::to_string(nodes.front())));
-    bytes = std::stoull(request.query_value("bytes", kDefaultBytes));
-  } catch (const std::exception&) {
-    return bad_request("root and bytes must be integers");
+  if (error != PlanQueryError::None) {
+    return bad_request(response, plan_query_error_message(error));
   }
 
   try {
-    PlanRequest canonical =
-        canonical_plan_request(kind, std::move(nodes), root, bytes);
+    PlanRequest& canonical = plan_query_.request;
+    canonicalize_plan_request(canonical);
     const SnapshotStore::Ref ref = store_.acquire(index, *http_reader_);
     if (!ref) {
-      return {503, "text/plain; charset=utf-8",
-              "tenant has not published yet\n"};
+      return plain_answer(response, 503, "tenant has not published yet");
     }
     if (canonical.nodes.back() >= ref->component.constant.size()) {
-      return bad_request("node id exceeds the tenant's cluster size");
+      return bad_request(response,
+                         "node id exceeds the tenant's cluster size");
     }
     const Plan* plan = plans_.lookup_or_compute(index, *ref, canonical);
     span.set_value(static_cast<double>(plan->version));
-    return {200, kJsonContentType, plan->json};
-  } catch (const ContractViolation& error) {
-    return bad_request(error.what());
+    response.content_type.assign(kJsonContentType);
+    response.body.assign(plan->json);
+  } catch (const ContractViolation& violation) {
+    bad_request(response, violation.what());
   }
 }
 

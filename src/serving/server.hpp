@@ -20,7 +20,8 @@
 //   GET /plan?tenant=T&kind=tree|mapping&nodes=0,1,2[&root=0][&bytes=N]
 //                           the memoized planner — byte-identical to a
 //                           direct src/mapping / src/collective
-//                           invocation at the same snapshot version
+//                           invocation at the same snapshot version;
+//                           the query is read by parse_plan_query()
 //
 // Every endpooint records a latency histogram
 // (serving.http.<route>_seconds) and the plan/publish paths open
@@ -31,6 +32,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <string_view>
 
 #include "online/service.hpp"
 #include "serving/epoch.hpp"
@@ -39,6 +41,38 @@
 #include "serving/snapshot_store.hpp"
 
 namespace netconst::serving {
+
+/// A /plan query as parse_plan_query() reads it.
+struct PlanQuery {
+  /// The `tenant` value, empty when absent. A view into the parsed
+  /// HttpRequest: valid only while that request is left unchanged.
+  std::string_view tenant;
+  /// Kind, root and bytes as given (or defaulted); `nodes` in the
+  /// order the query lists them — not canonical yet.
+  PlanRequest request;
+};
+
+/// Why parse_plan_query() rejected a /plan query; each is a 400.
+enum class PlanQueryError {
+  None,
+  BadKind,         // kind is neither tree nor mapping
+  MissingNodes,    // no (or an empty) nodes parameter
+  BadNodes,        // a node id is not a plain decimal integer
+  BadRootOrBytes,  // root or bytes is not a plain decimal integer
+};
+
+/// The 400 body for an error (without its trailing newline).
+const char* plan_query_error_message(PlanQueryError error);
+
+/// Read the kind, nodes, root and bytes parameters of a /plan query
+/// into `out`, reusing the storage of `out.request.nodes`. Pure, and
+/// allocation-free once that vector has grown to the request sizes.
+/// Integers are plain decimals: one or more ASCII digits whose value
+/// fits the field. A sign, a blank, any other byte, or overflow is an
+/// error. Empty items in `nodes` are skipped. `root` defaults to the
+/// first listed node and `bytes` to 8 MiB. The tenant is only recorded
+/// and the request is not canonicalized: both are the caller's job.
+PlanQueryError parse_plan_query(const HttpRequest& request, PlanQuery& out);
 
 struct ConstantServerOptions {
   HttpServer::Options http;
@@ -79,12 +113,12 @@ class ConstantServer {
                         EpochDomain::Reader& reader);
 
  private:
-  HttpResponse handle_healthz(const HttpRequest& request);
-  HttpResponse handle_metrics(const HttpRequest& request);
-  HttpResponse handle_telemetry(const HttpRequest& request);
-  HttpResponse handle_tenants(const HttpRequest& request);
-  HttpResponse handle_snapshot(const HttpRequest& request);
-  HttpResponse handle_plan(const HttpRequest& request);
+  void handle_healthz(const HttpRequest& request, HttpResponse& response);
+  void handle_metrics(const HttpRequest& request, HttpResponse& response);
+  void handle_telemetry(const HttpRequest& request, HttpResponse& response);
+  void handle_tenants(const HttpRequest& request, HttpResponse& response);
+  void handle_snapshot(const HttpRequest& request, HttpResponse& response);
+  void handle_plan(const HttpRequest& request, HttpResponse& response);
   /// Mirror serving-layer stats (cache, epoch, http) into registry
   /// gauges so the exporters pick them up.
   void sync_serving_metrics();
@@ -96,6 +130,9 @@ class ConstantServer {
   HttpServer http_;
   /// Epoch slot of the HTTP event-loop thread (handlers run there).
   std::unique_ptr<EpochDomain::Reader> http_reader_;
+  /// handle_plan()'s parse target, owned by the HTTP thread like the
+  /// reader above; reusing it keeps a warm /plan hit allocation-free.
+  PlanQuery plan_query_;
 
   online::Histogram& healthz_seconds_;
   online::Histogram& metrics_seconds_;

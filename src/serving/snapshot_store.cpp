@@ -71,7 +71,7 @@ SnapshotStore::Ref SnapshotStore::acquire(
   return Ref(reader, slot);
 }
 
-std::size_t SnapshotStore::find(const std::string& tenant) const {
+std::size_t SnapshotStore::find(std::string_view tenant) const {
   const std::size_t count = count_.load(std::memory_order_acquire);
   for (std::size_t k = 0; k < count; ++k) {
     if (slots_[k].name == tenant) return k;

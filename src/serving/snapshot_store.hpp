@@ -26,6 +26,7 @@
 #include <functional>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/constant_finder.hpp"
@@ -93,7 +94,7 @@ class SnapshotStore final : public online::SnapshotSink {
   /// Tenant slot index for a name, or npos. Allocation-free, lock-free
   /// (names are immutable once registered).
   static constexpr std::size_t npos = static_cast<std::size_t>(-1);
-  std::size_t find(const std::string& tenant) const;
+  std::size_t find(std::string_view tenant) const;
 
   std::size_t tenant_count() const {
     return count_.load(std::memory_order_acquire);

@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 
+#include "../support/proptest.hpp"
 #include "support/error.hpp"
 #include "support/rng.hpp"
 
@@ -18,6 +20,74 @@ netmodel::PerformanceMatrix uniform_perf(std::size_t n, double beta) {
     }
   }
   return p;
+}
+
+/// The greedy expansion as first written: every candidate scans all n
+/// indices and skips the unmapped ones. Kept as the oracle that the
+/// production loop (pair sums over the sorted mapped sets) must match
+/// assignment for assignment.
+Mapping reference_greedy_mapping(const TaskGraph& tasks,
+                                 const MachineGraph& machines) {
+  const std::size_t n = tasks.size();
+  constexpr auto kUnmapped = std::numeric_limits<std::size_t>::max();
+  Mapping task_to_machine(n, kUnmapped);
+  auto heaviest = [](auto&& weight, const std::vector<bool>& used,
+                     std::size_t count) {
+    std::size_t best = count;
+    double best_weight = -1.0;
+    for (std::size_t k = 0; k < count; ++k) {
+      if (used[k]) continue;
+      const double w = weight(k);
+      if (w > best_weight) {
+        best_weight = w;
+        best = k;
+      }
+    }
+    return best;
+  };
+  std::vector<bool> machine_used(n, false), task_used(n, false);
+  const std::size_t v0 = heaviest(
+      [&](std::size_t i) { return machines.vertex_weight(i); },
+      machine_used, n);
+  const std::size_t s0 = heaviest(
+      [&](std::size_t u) { return tasks.vertex_weight(u); }, task_used, n);
+  machine_used[v0] = true;
+  task_used[s0] = true;
+  task_to_machine[s0] = v0;
+  for (std::size_t placed = 1; placed < n; ++placed) {
+    std::size_t best_machine = n;
+    double best_bw = -1.0;
+    for (std::size_t i = 0; i < n; ++i) {
+      if (machine_used[i]) continue;
+      double bw = 0.0;
+      for (std::size_t j = 0; j < n; ++j) {
+        if (!machine_used[j]) continue;
+        bw += machines.bandwidth(i, j) + machines.bandwidth(j, i);
+      }
+      if (bw > best_bw) {
+        best_bw = bw;
+        best_machine = i;
+      }
+    }
+    std::size_t best_task = n;
+    double best_volume = -1.0;
+    for (std::size_t u = 0; u < n; ++u) {
+      if (task_used[u]) continue;
+      double vol = 0.0;
+      for (std::size_t w = 0; w < n; ++w) {
+        if (!task_used[w]) continue;
+        vol += tasks.volume(u, w) + tasks.volume(w, u);
+      }
+      if (vol > best_volume) {
+        best_volume = vol;
+        best_task = u;
+      }
+    }
+    machine_used[best_machine] = true;
+    task_used[best_task] = true;
+    task_to_machine[best_task] = best_machine;
+  }
+  return task_to_machine;
 }
 
 TEST(RingMapping, IsIdentity) {
@@ -61,6 +131,44 @@ TEST(GreedyMapping, SeedsHeaviestTaskOnHeaviestMachine) {
   machines.set_bandwidth(2, 0, 1.0);
   const Mapping m = greedy_mapping(tasks, machines);
   EXPECT_EQ(m[2], 1u);
+}
+
+TEST(GreedyMapping, MatchesTheFullScanReference) {
+  // Random task/machine graphs, k = 2..16, in three weight families:
+  //  - small integers: sums tie exactly, so the first-index tie-break
+  //    decides;
+  //  - a few decimal fractions (0.1, 0.2, ...): sums that tie in exact
+  //    arithmetic differ in the last bit depending on the order of the
+  //    additions, so only the reference's order reproduces its picks;
+  //  - continuous values.
+  // In every family the assignment must be the reference's exactly.
+  testing::run_property(0x6EEDu, 12000, [](Rng& rng) {
+    const std::size_t n = testing::random_size(rng, 2, 16);
+    const std::int64_t family = rng.uniform_int(0, 2);
+    const auto weight = [&](bool may_be_zero) {
+      const std::int64_t lowest = may_be_zero ? 0 : 1;
+      switch (family) {
+        case 0:
+          return static_cast<double>(rng.uniform_int(lowest, 2));
+        case 1:
+          return 0.1 * static_cast<double>(rng.uniform_int(lowest, 4));
+        default:
+          return may_be_zero && rng.uniform() < 0.2 ? 0.0
+                                                    : rng.uniform(1e3, 1e9);
+      }
+    };
+    TaskGraph tasks(n);
+    MachineGraph machines(n);
+    for (std::size_t a = 0; a < n; ++a) {
+      for (std::size_t b = 0; b < n; ++b) {
+        if (a == b) continue;
+        tasks.set_volume(a, b, weight(true));
+        machines.set_bandwidth(a, b, weight(false));
+      }
+    }
+    const Mapping expected = reference_greedy_mapping(tasks, machines);
+    ASSERT_EQ(greedy_mapping(tasks, machines), expected) << "n=" << n;
+  });
 }
 
 TEST(GreedyMapping, SizeMismatchThrows) {

@@ -94,13 +94,12 @@ ClientResponse http_request(std::uint16_t port, const std::string& method,
 
 TEST(HttpServer, RoutesQueriesAndErrors) {
   HttpServer server;
-  server.route("/echo", [](const HttpRequest& request) {
-    HttpResponse response;
+  server.route("/echo", [](const HttpRequest& request,
+                            HttpResponse& response) {
     response.content_type = "text/plain";
     response.body = request.method + " " + request.path + " a=" +
                     request.query_value("a", "<none>") + " b=" +
                     request.query_value("b", "<none>");
-    return response;
   });
   server.start();
   ASSERT_NE(server.port(), 0);
@@ -135,7 +134,7 @@ TEST(HttpServer, RoutesQueriesAndErrors) {
 
 TEST(HttpServer, MalformedRequestGets400) {
   HttpServer server;
-  server.route("/x", [](const HttpRequest&) { return HttpResponse{}; });
+  server.route("/x", [](const HttpRequest&, HttpResponse&) {});
   server.start();
 
   const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
@@ -168,8 +167,9 @@ TEST(HttpServer, MalformedRequestGets400) {
 // are mid-request open that window on most cycles.
 TEST(HttpServer, AcceptsDuringActiveTrafficSafely) {
   HttpServer server;
-  server.route("/ping", [](const HttpRequest&) {
-    return HttpResponse{200, "text/plain", "pong"};
+  server.route("/ping", [](const HttpRequest&, HttpResponse& response) {
+    response.content_type = "text/plain";
+    response.body = "pong";
   });
   server.start();
 
@@ -200,7 +200,7 @@ TEST(HttpServer, AcceptsDuringActiveTrafficSafely) {
 // thread and close the same fds.
 TEST(HttpServer, ConcurrentStopCallsAreSafe) {
   HttpServer server;
-  server.route("/x", [](const HttpRequest&) { return HttpResponse{}; });
+  server.route("/x", [](const HttpRequest&, HttpResponse&) {});
   server.start();
   ASSERT_TRUE(server.running());
   std::thread first([&] { server.stop(); });
@@ -221,10 +221,8 @@ TEST(HttpServer, OversizedHeadGetsAtMostOne413) {
   HttpServer::Options options;
   options.max_request_bytes = 1024;
   HttpServer server(options);
-  server.route("/big", [](const HttpRequest&) {
-    HttpResponse response;
+  server.route("/big", [](const HttpRequest&, HttpResponse& response) {
     response.body.assign(512 * 1024, 'x');
-    return response;
   });
   server.start();
 
@@ -401,6 +399,31 @@ TEST_F(ServingEndToEnd, PlanQueriesMatchInProcessPath) {
                          "/plan?tenant=edge&nodes=0,1&root=9")
                 .status,
             400);
+}
+
+// nodes, root and bytes are plain decimals: a trailing byte ("1x"), a
+// sign or a blank ("+1", "-1", " 1"), and overflow are each a 400.
+TEST_F(ServingEndToEnd, PlanIntegersUseStrictGrammar) {
+  const auto status = [&](const std::string& query) {
+    return http_request(server_->port(), "GET", "/plan?tenant=edge&" + query)
+        .status;
+  };
+  ASSERT_EQ(status("nodes=0,1,2&root=1&bytes=1024"), 200);
+  EXPECT_EQ(status("nodes=,0,,1,2,&root=01&bytes=001024"), 200);
+  EXPECT_EQ(status("nodes=0,1,2&bytes=18446744073709551615"), 200);
+
+  const std::string overflow = "18446744073709551616";
+  for (const std::string& bad :
+       {std::string("1x"), std::string("%2B1"), std::string("+1"),
+        std::string("-1"), std::string("%201"), overflow}) {
+    SCOPED_TRACE(bad);
+    EXPECT_EQ(status("nodes=0," + bad + ",2"), 400);
+    EXPECT_EQ(status("nodes=0,1,2&root=" + bad), 400);
+    EXPECT_EQ(status("nodes=0,1,2&bytes=" + bad), 400);
+  }
+  ClientResponse wrapped = http_request(
+      server_->port(), "GET", "/plan?tenant=edge&nodes=0,1&bytes=-1");
+  EXPECT_EQ(wrapped.body, "root and bytes must be integers\n");
 }
 
 // Regression: destroying the server while service drivers are still
