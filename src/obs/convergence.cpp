@@ -53,11 +53,16 @@ void ConvergenceLog::write_json(std::ostream& out) const {
     const SolveConvergence& solve = records[r];
     if (r > 0) out << ',';
     out << "{\"refresh\":" << solve.refresh << ",\"time\":" << solve.time
-        << ",\"layer\":\"" << solve.layer << "\",\"warm\":"
+        << ",\"layer\":\"" << solve.layer << "\",\"incremental\":"
+        << (solve.incremental ? "true" : "false") << ",\"warm\":"
         << (solve.warm ? "true" : "false") << ",\"cold_fallback\":"
         << (solve.cold_fallback ? "true" : "false")
         << ",\"iterations\":" << solve.iterations
-        << ",\"residual\":" << solve.residual
+        << ",\"residual\":" << solve.residual << ",\"converged\":"
+        << (solve.converged ? "true" : "false")
+        << ",\"polish_iterations\":" << solve.polish_iterations
+        << ",\"polish_converged\":"
+        << (solve.polish_converged ? "true" : "false")
         << ",\"solve_seconds\":" << solve.solve_seconds << ",\"trace\":[";
     for (std::size_t k = 0; k < solve.trace.size(); ++k) {
       const IterationStats& it = solve.trace[k];

@@ -66,15 +66,21 @@ class TraceProbe final : public SolverProbe {
   std::vector<IterationStats> trace_;
 };
 
-/// One layer solve of one window refresh, as retained by ConvergenceLog.
+/// One layer of one window refresh, as retained by ConvergenceLog: a
+/// summary of the accepted solve, plus its per-iteration trace when the
+/// tenant collects one (empty otherwise).
 struct SolveConvergence {
   std::uint64_t refresh = 0;      // per-tenant refresh sequence, from 1
   double time = 0.0;              // tenant provider time (simulated s)
   std::string layer;              // "latency" / "bandwidth"
+  bool incremental = false;       // the row update served it; no solve ran
   bool warm = false;              // accepted result came from a warm solve
   bool cold_fallback = false;     // warm attempt rejected, redone cold
   int iterations = 0;             // of the accepted solve
   double residual = 0.0;          // pre-polish, of the accepted solve
+  bool converged = false;         // the solver's stop rule fired
+  int polish_iterations = 0;      // 0 when the polish did not run
+  bool polish_converged = true;   // false only when the polish hit its cap
   double solve_seconds = 0.0;
   std::vector<IterationStats> trace;  // accepted solve only, bounded
 };

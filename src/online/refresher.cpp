@@ -54,6 +54,7 @@ void WindowRefresher::solve_layer(const linalg::Matrix& data,
     clear_seed(seed);
     info.warm_attempted = false;
     info.warm_used = false;
+    info.converged = true;
     info.solve_seconds = clock.seconds();
     return;
   }
@@ -102,6 +103,9 @@ void WindowRefresher::solve_layer(const linalg::Matrix& data,
   if (options_.collect_convergence) info.trace = probe_.trace();
   info.iterations = result.iterations;
   info.residual = result.solver_residual;
+  info.converged = result.converged;
+  info.polish_iterations = result.polish_iterations;
+  info.polish_converged = result.polish_converged;
   info.randomized_steps =
       workspace_.stats.randomized_accepts - accepts_before;
   info.solve_seconds = clock.seconds();

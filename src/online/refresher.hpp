@@ -49,8 +49,10 @@ struct RefresherOptions {
   bool fallback_on_nonconvergence = true;
   /// Collect the accepted solve's per-iteration convergence trace into
   /// LayerRefresh::trace (see obs/convergence.hpp). Off by default: the
-  /// probe computes extra per-iteration norms. The trace is capped at
-  /// convergence_trace_capacity samples.
+  /// probe makes four extra full-matrix passes per APG iteration (~20%
+  /// of APG time at 10x256). The trace is capped at
+  /// convergence_trace_capacity samples. The summary flags below
+  /// (converged, polish_*) are filled either way.
   bool collect_convergence = false;
   std::size_t convergence_trace_capacity = 512;
   /// Incremental subspace-tracking hot path (rpca/incremental.hpp):
@@ -77,6 +79,11 @@ struct LayerRefresh {
   bool seed_ignored = false;    // solver cannot seed (cold, not a fallback)
   int iterations = 0;           // of the accepted solve
   double residual = 0.0;        // of the accepted solve, pre-polish
+  // Stop-rule outcome of the accepted solve (full path only; a layer
+  // the row update served keeps these defaults).
+  bool converged = false;       // the solver's stop rule fired
+  int polish_iterations = 0;    // 0 when the polish did not run
+  bool polish_converged = true; // false only when the polish hit its cap
   double solve_seconds = 0.0;   // total, including a rejected warm attempt
   // Masked-path accounting: non-finite window entries repaired before
   // the solve (see rpca::impute_missing for the priority order).

@@ -1,6 +1,7 @@
 #include "online/service.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <condition_variable>
 #include <exception>
@@ -20,27 +21,96 @@ namespace netconst::online {
 
 namespace {
 
-/// Convergence telemetry needs the refresher's per-iteration probe on,
-/// and the change-point detector needs the sparse-support geometry; the
-/// service turns both on per tenant as the config demands (an explicit
-/// user choice in RefresherOptions is respected).
-RefresherOptions tenant_refresher_options(const TenantConfig& config,
-                                          std::size_t convergence_capacity) {
+/// The change-point detector needs the sparse-support geometry, so the
+/// service turns it on for a tenant whose detector is enabled. The
+/// per-iteration convergence probe stays the tenant's own choice
+/// (RefresherOptions::collect_convergence): the convergence ring keeps
+/// per-layer summaries either way.
+RefresherOptions tenant_refresher_options(const TenantConfig& config) {
   RefresherOptions options = config.refresher;
-  if (convergence_capacity > 0) options.collect_convergence = true;
   if (config.detector_enabled) options.collect_support_stats = true;
   return options;
 }
 
 }  // namespace
 
+/// Service-wide metric handles, resolved once at construction so the
+/// hot paths never build a name or take the registry's lock. The
+/// registry keeps the referenced objects alive for its lifetime.
+struct ConstantFinderService::ServiceMetrics {
+  explicit ServiceMetrics(MetricsRegistry& registry) : metrics(registry) {
+    for (std::size_t k = 0; k < detect::kVerdictKindCount; ++k) {
+      verdicts[k] = &metrics.counter(
+          std::string("detect.verdicts.") +
+          detect::verdict_kind_name(static_cast<detect::VerdictKind>(k)));
+    }
+  }
+
+  Counter& recalibration_reason(TriggerReason reason) {
+    switch (reason) {
+      case TriggerReason::ThresholdBreach:
+        return breach_recalibrations;
+      case TriggerReason::ForcedDegraded:
+        return forced_recalibrations;
+      case TriggerReason::DetectorSignal:
+        return detector_recalibrations;
+      default:
+        return interval_recalibrations;
+    }
+  }
+
+  MetricsRegistry& metrics;  // first: the handles below bind through it
+  Counter& snapshots_ingested = metrics.counter("online.snapshots_ingested");
+  Counter& operations = metrics.counter("online.operations");
+  Counter& refreshes = metrics.counter("online.refreshes");
+  Counter& warm_solves = metrics.counter("online.warm_solves");
+  Counter& cold_solves = metrics.counter("online.cold_solves");
+  Counter& cold_fallbacks = metrics.counter("online.cold_fallbacks");
+  Counter& recalibrations = metrics.counter("online.recalibrations");
+  Counter& breach_recalibrations =
+      metrics.counter("online.recalibrations.breach");
+  Counter& forced_recalibrations =
+      metrics.counter("online.recalibrations.forced");
+  Counter& detector_recalibrations =
+      metrics.counter("online.recalibrations.detector");
+  Counter& interval_recalibrations =
+      metrics.counter("online.recalibrations.interval");
+  Counter& suppressed = metrics.counter("online.recalibrations_suppressed");
+  Counter& level_changes = metrics.counter("online.level_changes");
+  Counter& dropped_probes = metrics.counter("online.dropped_probes");
+  Counter& calibration_failures =
+      metrics.counter("online.calibration_failures");
+  Counter& stale_rows = metrics.counter("online.stale_rows_reused");
+  Counter& imputed_entries = metrics.counter("online.imputed_entries");
+  Counter& svd_full = metrics.counter("rpca.svd.path.full");
+  Counter& svd_randomized = metrics.counter("rpca.svd.path.randomized");
+  Counter& svd_incremental = metrics.counter("rpca.svd.path.incremental");
+  Counter& incremental_updates = metrics.counter("rpca.incremental.updates");
+  Counter& anchors = metrics.counter("rpca.incremental.anchors");
+  Counter& drift_fallbacks =
+      metrics.counter("rpca.incremental.drift_fallbacks");
+  Counter& masked_fallbacks =
+      metrics.counter("rpca.incremental.masked_fallbacks");
+  Counter& nonconverged = metrics.counter("rpca.nonconverged");
+  Counter& polish_nonconverged = metrics.counter("rpca.polish.nonconverged");
+  Counter& preemptions = metrics.counter("detect.preemptions");
+  std::array<Counter*, detect::kVerdictKindCount> verdicts{};
+  Histogram& calibration_seconds =
+      metrics.histogram("online.calibration_seconds");
+  Histogram& refresh_seconds = metrics.histogram("online.refresh_seconds");
+  Histogram& error_norm = metrics.histogram("online.error_norm");
+  Histogram& solver_iterations = metrics.histogram("online.solver_iterations");
+  Histogram& operation_relative_error =
+      metrics.histogram("online.operation_relative_error");
+  Histogram& detect_latency_slides = metrics.histogram("detect.latency_slides");
+};
+
 struct ConstantFinderService::Tenant {
   Tenant(const TenantConfig& config_in, MetricsRegistry& metrics,
          std::size_t convergence_capacity)
       : config(config_in),
         window(config_in.window_capacity),
-        refresher(
-            tenant_refresher_options(config_in, convergence_capacity)),
+        refresher(tenant_refresher_options(config_in)),
         detector(config_in.detector),
         convergence(convergence_capacity == 0 ? 1 : convergence_capacity),
         scheduler(config_in.scheduler),
@@ -65,6 +135,9 @@ struct ConstantFinderService::Tenant {
         incremental_updates(
             metrics.counter(prefix() + "incremental_updates")),
         drift_fallbacks(metrics.counter(prefix() + "drift_fallbacks")),
+        nonconverged(metrics.counter(prefix() + "rpca.nonconverged")),
+        polish_nonconverged(
+            metrics.counter(prefix() + "rpca.polish.nonconverged")),
         detector_verdicts(metrics.counter(prefix() + "detector_verdicts")),
         detector_recalibrations(
             metrics.counter(prefix() + "detector_recalibrations")),
@@ -72,7 +145,6 @@ struct ConstantFinderService::Tenant {
         refresh_seconds(metrics.histogram(prefix() + "refresh_seconds")),
         solver_iterations(
             metrics.histogram(prefix() + "solver_iterations")) {
-    NETCONST_CHECK(config.provider != nullptr, "tenant needs a provider");
     NETCONST_CHECK(config.provider->cluster_size() >= 2,
                    "tenant cluster must have at least two VMs");
     NETCONST_CHECK(config.operation_gap >= 0.0,
@@ -124,6 +196,8 @@ struct ConstantFinderService::Tenant {
   Counter& imputed_entries;
   Counter& incremental_updates;
   Counter& drift_fallbacks;
+  Counter& nonconverged;
+  Counter& polish_nonconverged;
   Counter& detector_verdicts;
   Counter& detector_recalibrations;
   Gauge& error_norm_gauge;
@@ -137,12 +211,15 @@ ConstantFinderService::ConstantFinderService(const ServiceOptions& options)
                       ? nullptr
                       : std::make_unique<ThreadPool>(options.threads)),
       pool_(owned_pool_ ? owned_pool_.get() : &ThreadPool::global()),
+      global_(std::make_unique<ServiceMetrics>(metrics_)),
       events_(options.event_capacity) {}
 
 ConstantFinderService::~ConstantFinderService() = default;
 
 std::size_t ConstantFinderService::add_tenant(const TenantConfig& config) {
   NETCONST_CHECK(!config.name.empty(), "tenant name must not be empty");
+  // Checked before the Tenant's members bind *config.provider.
+  NETCONST_CHECK(config.provider != nullptr, "tenant needs a provider");
   for (const auto& tenant : tenants_) {
     NETCONST_CHECK(tenant->config.name != config.name,
                    "duplicate tenant name");
@@ -160,14 +237,14 @@ void ConstantFinderService::sync_ingest_totals(Tenant& tenant) {
     const auto delta =
         static_cast<double>(failures - tenant.synced_failures);
     tenant.calibration_failures.increment(delta);
-    metrics_.counter("online.calibration_failures").increment(delta);
+    global_->calibration_failures.increment(delta);
     tenant.synced_failures = failures;
   }
   const std::uint64_t stale = tenant.ingestor.stale_rows_reused();
   if (stale > tenant.synced_stale) {
     const auto delta = static_cast<double>(stale - tenant.synced_stale);
     tenant.stale_rows.increment(delta);
-    metrics_.counter("online.stale_rows_reused").increment(delta);
+    global_->stale_rows.increment(delta);
     // One event per reused row, so the event log, the counters, and
     // TenantStatus all agree — bootstrap fills included.
     for (std::uint64_t k = tenant.synced_stale; k < stale; ++k) {
@@ -185,18 +262,64 @@ void ConstantFinderService::account_refresh_imputation(
   if (!report.degraded()) return;
   const auto imputed = static_cast<double>(report.missing_entries());
   tenant.imputed_entries.increment(imputed);
-  metrics_.counter("online.imputed_entries").increment(imputed);
+  global_->imputed_entries.increment(imputed);
+}
+
+void ConstantFinderService::account_layers(Tenant& tenant,
+                                           const RefreshReport& report) {
+  ServiceMetrics& global = *global_;
+  for (const LayerRefresh* layer : {&report.latency, &report.bandwidth}) {
+    // Which machinery produced this layer's factors: the incremental
+    // row update, the randomized-SVT solver path, or the exact solver.
+    if (layer->incremental_used) {
+      tenant.incremental_updates.increment();
+      global.incremental_updates.increment();
+      global.svd_incremental.increment();
+      continue;  // no solve ran for this layer
+    }
+    (layer->randomized_steps > 0 ? global.svd_randomized : global.svd_full)
+        .increment();
+    if (layer->drift_fallback) {
+      tenant.drift_fallbacks.increment();
+      global.drift_fallbacks.increment();
+    }
+    if (layer->incremental_masked) global.masked_fallbacks.increment();
+    if (layer->anchored) global.anchors.increment();
+    if (layer->warm_used) {
+      tenant.warm_solves.increment();
+      global.warm_solves.increment();
+    } else {
+      tenant.cold_solves.increment();
+      global.cold_solves.increment();
+    }
+    if (layer->cold_fallback) {
+      tenant.cold_fallbacks.increment();
+      global.cold_fallbacks.increment();
+    }
+    // The accepted solve's stop rules: what an operator used to read
+    // off the per-iteration trace, as counters.
+    if (!layer->converged) {
+      tenant.nonconverged.increment();
+      global.nonconverged.increment();
+    }
+    if (!layer->polish_converged) {
+      tenant.polish_nonconverged.increment();
+      global.polish_nonconverged.increment();
+    }
+  }
+  tenant.refresh_seconds.observe(report.total_seconds);
+  global.refresh_seconds.observe(report.total_seconds);
+  global.error_norm.observe(report.component.error_norm);
+  tenant.error_norm_gauge.set(report.component.error_norm);
 }
 
 void ConstantFinderService::record_convergence(Tenant& tenant,
                                                RefreshReport& report) {
-  tenant.solver_iterations.observe(
-      static_cast<double>(report.latency.iterations));
-  tenant.solver_iterations.observe(
-      static_cast<double>(report.bandwidth.iterations));
-  Histogram& global = metrics_.histogram("online.solver_iterations");
-  global.observe(static_cast<double>(report.latency.iterations));
-  global.observe(static_cast<double>(report.bandwidth.iterations));
+  for (const LayerRefresh* layer : {&report.latency, &report.bandwidth}) {
+    const auto iterations = static_cast<double>(layer->iterations);
+    tenant.solver_iterations.observe(iterations);
+    global_->solver_iterations.observe(iterations);
+  }
   if (options_.convergence_capacity == 0) return;
 
   const auto refresh =
@@ -209,10 +332,14 @@ void ConstantFinderService::record_convergence(Tenant& tenant,
     record.refresh = refresh;
     record.time = now;
     record.layer = names[k];
+    record.incremental = layers[k]->incremental_used;
     record.warm = layers[k]->warm_used;
     record.cold_fallback = layers[k]->cold_fallback;
     record.iterations = layers[k]->iterations;
     record.residual = layers[k]->residual;
+    record.converged = layers[k]->converged;
+    record.polish_iterations = layers[k]->polish_iterations;
+    record.polish_converged = layers[k]->polish_converged;
     record.solve_seconds = layers[k]->solve_seconds;
     record.trace = std::move(layers[k]->trace);
     tenant.convergence.record(std::move(record));
@@ -261,9 +388,9 @@ void ConstantFinderService::run_detector(Tenant& tenant,
 
   const char* kind = detect::verdict_kind_name(verdict->kind);
   tenant.detector_verdicts.increment();
-  metrics_.counter(std::string("detect.verdicts.") + kind).increment();
-  metrics_.histogram("detect.latency_slides")
-      .observe(static_cast<double>(verdict->latency_slides));
+  global_->verdicts[static_cast<std::size_t>(verdict->kind)]->increment();
+  global_->detect_latency_slides.observe(
+      static_cast<double>(verdict->latency_slides));
   std::string detail = std::string(kind) + " (signal " +
                        detect::signal_name(verdict->signal) + ", latency " +
                        std::to_string(verdict->latency_slides) + " slides";
@@ -285,7 +412,7 @@ void ConstantFinderService::run_detector(Tenant& tenant,
       verdict->kind != detect::VerdictKind::OutlierStorm) {
     tenant.detector_preempt_pending = true;
     tenant.detector_preempt_score = verdict->score;
-    metrics_.counter("detect.preemptions").increment();
+    global_->preemptions.increment();
   }
 }
 
@@ -321,8 +448,8 @@ void ConstantFinderService::bootstrap(Tenant& tenant) {
   }();
   const double ingested = static_cast<double>(tenant.window.size());
   tenant.snapshots.increment(ingested);
-  metrics_.counter("online.snapshots_ingested").increment(ingested);
-  metrics_.histogram("online.calibration_seconds").observe(fill_seconds);
+  global_->snapshots_ingested.increment(ingested);
+  global_->calibration_seconds.observe(fill_seconds);
   sync_ingest_totals(tenant);
 
   RefreshReport report = tenant.refresher.refresh(tenant.window);
@@ -330,26 +457,13 @@ void ConstantFinderService::bootstrap(Tenant& tenant) {
   tenant.scheduler.record_refresh(provider.now(),
                                   report.component.error_norm);
   tenant.refreshes.increment();
-  metrics_.counter("online.refreshes").increment();
+  global_->refreshes.increment();
   publish_snapshot(tenant);
   account_refresh_imputation(tenant, report);
   record_convergence(tenant, report);
-  tenant.cold_solves.increment(2.0);
-  metrics_.counter("online.cold_solves").increment(2.0);
-  for (const LayerRefresh* layer : {&report.latency, &report.bandwidth}) {
-    metrics_
-        .counter(layer->randomized_steps > 0 ? "rpca.svd.path.randomized"
-                                             : "rpca.svd.path.full")
-        .increment();
-    if (layer->anchored) {
-      metrics_.counter("rpca.incremental.anchors").increment();
-    }
-  }
-  tenant.refresh_seconds.observe(report.total_seconds);
-  metrics_.histogram("online.refresh_seconds").observe(report.total_seconds);
-  metrics_.histogram("online.error_norm").observe(
-      report.component.error_norm);
-  tenant.error_norm_gauge.set(report.component.error_norm);
+  // A bootstrap solve has no seed and no anchored tracker, so both
+  // layers account as cold full-path solves.
+  account_layers(tenant, report);
   events_.record({provider.now(), tenant.config.name, EventKind::Refresh,
                   "bootstrap (" + std::to_string(tenant.window.size()) +
                       " snapshots, cold solve)",
@@ -372,9 +486,8 @@ void ConstantFinderService::maintain(Tenant& tenant, TriggerReason reason,
     return tenant.ingestor.ingest_calibrated();
   }();
   tenant.snapshots.increment();
-  metrics_.counter("online.snapshots_ingested").increment();
-  metrics_.histogram("online.calibration_seconds")
-      .observe(ingest.elapsed_seconds);
+  global_->snapshots_ingested.increment();
+  global_->calibration_seconds.observe(ingest.elapsed_seconds);
   sync_ingest_totals(tenant);
   events_.record({provider.now(), tenant.config.name,
                   EventKind::SnapshotIngested,
@@ -386,45 +499,11 @@ void ConstantFinderService::maintain(Tenant& tenant, TriggerReason reason,
       provider.now(), report.component.error_norm);
 
   tenant.refreshes.increment();
-  metrics_.counter("online.refreshes").increment();
+  global_->refreshes.increment();
   publish_snapshot(tenant);
   account_refresh_imputation(tenant, report);
   record_convergence(tenant, report);
-  for (const LayerRefresh* layer : {&report.latency, &report.bandwidth}) {
-    // Which machinery produced this layer's factors: the incremental
-    // row update, the randomized-SVT solver path, or the exact solver.
-    if (layer->incremental_used) {
-      tenant.incremental_updates.increment();
-      metrics_.counter("rpca.incremental.updates").increment();
-      metrics_.counter("rpca.svd.path.incremental").increment();
-      continue;  // no solve ran for this layer
-    }
-    metrics_
-        .counter(layer->randomized_steps > 0 ? "rpca.svd.path.randomized"
-                                             : "rpca.svd.path.full")
-        .increment();
-    if (layer->drift_fallback) {
-      tenant.drift_fallbacks.increment();
-      metrics_.counter("rpca.incremental.drift_fallbacks").increment();
-    }
-    if (layer->incremental_masked) {
-      metrics_.counter("rpca.incremental.masked_fallbacks").increment();
-    }
-    if (layer->anchored) {
-      metrics_.counter("rpca.incremental.anchors").increment();
-    }
-    if (layer->warm_used) {
-      tenant.warm_solves.increment();
-      metrics_.counter("online.warm_solves").increment();
-    } else {
-      tenant.cold_solves.increment();
-      metrics_.counter("online.cold_solves").increment();
-    }
-    if (layer->cold_fallback) {
-      tenant.cold_fallbacks.increment();
-      metrics_.counter("online.cold_fallbacks").increment();
-    }
-  }
+  account_layers(tenant, report);
   if (report.any_cold_fallback()) {
     events_.record({provider.now(), tenant.config.name,
                     EventKind::ColdSolveFallback,
@@ -434,23 +513,10 @@ void ConstantFinderService::maintain(Tenant& tenant, TriggerReason reason,
     // the flight recorder's view of the refresh that led here.
     obs::FlightRecorder::instance().maybe_auto_dump("cold_fallback");
   }
-  tenant.refresh_seconds.observe(report.total_seconds);
-  metrics_.histogram("online.refresh_seconds").observe(report.total_seconds);
-  metrics_.histogram("online.error_norm").observe(
-      report.component.error_norm);
-  tenant.error_norm_gauge.set(report.component.error_norm);
 
   tenant.recalibrations.increment();
-  metrics_.counter("online.recalibrations").increment();
-  metrics_
-      .counter(reason == TriggerReason::ThresholdBreach
-                   ? "online.recalibrations.breach"
-               : reason == TriggerReason::ForcedDegraded
-                   ? "online.recalibrations.forced"
-               : reason == TriggerReason::DetectorSignal
-                   ? "online.recalibrations.detector"
-                   : "online.recalibrations.interval")
-      .increment();
+  global_->recalibrations.increment();
+  global_->recalibration_reason(reason).increment();
   if (reason == TriggerReason::ForcedDegraded) {
     tenant.forced.increment();
     obs::FlightRecorder::instance().maybe_auto_dump("forced_recalibration");
@@ -462,7 +528,7 @@ void ConstantFinderService::maintain(Tenant& tenant, TriggerReason reason,
                   EventKind::Recalibration, trigger_reason_name(reason),
                   trigger_value});
   if (level_changed) {
-    metrics_.counter("online.level_changes").increment();
+    global_->level_changes.increment();
     events_.record(
         {provider.now(), tenant.config.name, EventKind::LevelChange,
          core::effectiveness_name(tenant.scheduler.level()),
@@ -497,7 +563,7 @@ void ConstantFinderService::step(Tenant& tenant) {
   const double observed =
       provider.measure(i, j, tenant.config.operation_bytes);
   tenant.operations.increment();
-  metrics_.counter("online.operations").increment();
+  global_->operations.increment();
 
   SchedulerDecision decision;
   if (!std::isfinite(observed)) {
@@ -508,7 +574,7 @@ void ConstantFinderService::step(Tenant& tenant) {
     // once the streak says the constant can no longer be checked.
     ++tenant.drop_streak;
     tenant.dropped_probes.increment();
-    metrics_.counter("online.dropped_probes").increment();
+    global_->dropped_probes.increment();
     events_.record({provider.now(), tenant.config.name,
                     EventKind::ProbeDropped, "operation probe lost",
                     static_cast<double>(tenant.drop_streak)});
@@ -528,14 +594,13 @@ void ConstantFinderService::step(Tenant& tenant) {
     tenant.drop_streak = 0;
     decision = tenant.scheduler.observe_operation(provider.now(), expected,
                                                   observed);
-    metrics_.histogram("online.operation_relative_error")
-        .observe(decision.relative_error);
+    global_->operation_relative_error.observe(decision.relative_error);
   }
 
   if (decision.suppressed_probes > 0) {
     const auto count = static_cast<double>(decision.suppressed_probes);
     tenant.suppressed.increment(count);
-    metrics_.counter("online.recalibrations_suppressed").increment(count);
+    global_->suppressed.increment(count);
     events_.record({provider.now(), tenant.config.name,
                     EventKind::RecalibrationSuppressed,
                     "interval factor " +

@@ -106,10 +106,12 @@ struct ServiceOptions {
   std::size_t batch_slice = 16;
   /// Event-log retention; 0 = unbounded.
   std::size_t event_capacity = 0;
-  /// Per-tenant solver convergence telemetry: each refresh's per-layer
-  /// iteration trace is kept in a bounded ring of this many records
-  /// (read back via convergence()). 0 disables collection entirely —
-  /// the solver then runs without a probe attached.
+  /// Per-tenant solver convergence telemetry: each refresh leaves one
+  /// summary record per layer (path, iterations, residual, stop-rule
+  /// flags) in a bounded ring of this many records (read back via
+  /// convergence()). 0 disables the ring. The per-iteration trace is
+  /// only filled for tenants whose TenantConfig::refresher sets
+  /// collect_convergence.
   std::size_t convergence_capacity = 64;
 };
 
@@ -208,6 +210,8 @@ class ConstantFinderService {
 
   /// The tenant's solver convergence ring (empty when
   /// ServiceOptions::convergence_capacity == 0). Thread-safe.
+  /// Records carry a per-iteration trace only when the tenant's
+  /// refresher collects one.
   const obs::ConvergenceLog& convergence(std::size_t tenant) const;
 
   /// Prometheus text exposition (version 0.0.4) of every metric in the
@@ -223,6 +227,7 @@ class ConstantFinderService {
 
  private:
   struct Tenant;
+  struct ServiceMetrics;
 
   void bootstrap(Tenant& tenant);
   void step(Tenant& tenant);
@@ -231,8 +236,12 @@ class ConstantFinderService {
   /// (delta since the last sync — fill() can ingest many snapshots).
   void sync_ingest_totals(Tenant& tenant);
   void account_refresh_imputation(Tenant& tenant, const RefreshReport& report);
-  /// Move the refresh's per-layer iteration traces into the tenant's
-  /// convergence ring and observe the iteration-count histograms.
+  /// Per-layer path, fallback and stop-rule counters of one refresh,
+  /// plus its cost and Norm(N_E) observations.
+  void account_layers(Tenant& tenant, const RefreshReport& report);
+  /// Observe the iteration-count histograms and move the refresh's
+  /// per-layer summaries (and traces, if collected) into the tenant's
+  /// convergence ring.
   void record_convergence(Tenant& tenant, RefreshReport& report);
   /// Feed one refresh to the tenant's change-point detector and act on
   /// a verdict (events, metrics, auto-dump, pre-emption flag).
@@ -249,6 +258,7 @@ class ConstantFinderService {
   std::unique_ptr<ThreadPool> owned_pool_;  // null when sharing global()
   ThreadPool* pool_;
   MetricsRegistry metrics_;
+  std::unique_ptr<ServiceMetrics> global_;  // handles into metrics_
   EventLog events_;
   std::vector<std::unique_ptr<Tenant>> tenants_;
 };

@@ -60,6 +60,8 @@ const Plan* PlanCache::lookup_or_compute(std::size_t tenant_index,
 
   // Miss: plan outside any lock — planning dominates, and concurrent
   // identical misses just race to insert (loser retires its copy).
+  NETCONST_CHECK(tenant_index < floors_.size(),
+                 "plan cache tenant index out of range");
   obs::Span span("serving.plan.compute");
   const std::uint64_t hash =
       plan_request_hash(tenant_index, snapshot.version, request);
@@ -97,6 +99,7 @@ const Plan* PlanCache::lookup_or_compute(std::size_t tenant_index,
           replaced_.fetch_add(1, std::memory_order_relaxed);
         }
         misses_.fetch_add(1, std::memory_order_relaxed);
+        unlink_below_floor(slot, fresh);
         return &fresh->plan;
       }
       // CAS refreshed `current`; re-evaluate the slot.
@@ -111,8 +114,35 @@ const Plan* PlanCache::lookup_or_compute(std::size_t tenant_index,
   return plan;
 }
 
+void PlanCache::unlink_below_floor(std::atomic<const Entry*>& slot,
+                                   const Entry* entry) {
+  // Both sides are seq_cst: invalidate_below() raises the floor before
+  // its scan loads any slot. If this load misses the raise, the CAS
+  // that linked `entry` preceded the scan, which then finds and drops
+  // it; otherwise the entry is dropped here. Whoever wins the unlinking
+  // CAS retires it. The caller's read guard keeps the plan alive.
+  if (entry->plan.version >=
+      floors_[entry->tenant].load(std::memory_order_seq_cst)) {
+    return;
+  }
+  const Entry* expected = entry;
+  if (slot.compare_exchange_strong(expected, nullptr,
+                                   std::memory_order_seq_cst)) {
+    epoch_->retire(entry);
+    invalidated_.fetch_add(1, std::memory_order_relaxed);
+  }
+}
+
 std::size_t PlanCache::invalidate_below(std::size_t tenant_index,
                                         std::uint64_t version) {
+  NETCONST_CHECK(tenant_index < floors_.size(),
+                 "plan cache tenant index out of range");
+  std::atomic<std::uint64_t>& floor = floors_[tenant_index];
+  std::uint64_t current = floor.load(std::memory_order_seq_cst);
+  while (current < version &&
+         !floor.compare_exchange_weak(current, version,
+                                      std::memory_order_seq_cst)) {
+  }
   // The scan dereferences entries it has not unlinked yet, so it must
   // run under an epoch read guard: without one, a query thread can
   // stale-replace and retire the entry we just loaded, and a concurrent

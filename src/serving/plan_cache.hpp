@@ -14,7 +14,10 @@
 // construction. The store's publish hook calls invalidate_below() to
 // unlink superseded entries and retire them through the epoch domain —
 // memory is reclaimed once the last in-flight reader drains, never
-// under one.
+// under one. invalidate_below() first raises the tenant's version
+// floor; a query that pinned an older snapshot and inserts its plan
+// re-reads the floor after its CAS and unlinks its own entry if it
+// fell below, so no superseded entry outlives the last invalidation.
 //
 // Misses compute the plan (outside any lock — planning is the
 // expensive part), then publish the entry with a CAS: losing a race to
@@ -25,6 +28,7 @@
 // in stats().uncached.
 #pragma once
 
+#include <array>
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
@@ -64,8 +68,11 @@ class PlanCache {
   const Plan* find(std::size_t tenant_index, std::uint64_t version,
                    const PlanRequest& request) const;
 
-  /// Unlink every entry of `tenant_index` with version < `version` and
-  /// retire it. Called from the snapshot store's publish hook; unlike
+  /// Raise the tenant's version floor to `version`, then unlink every
+  /// entry of `tenant_index` with version < `version` and retire it
+  /// (an insert racing the call retires itself against the floor).
+  /// Requires tenant_index < SnapshotStore::kMaxTenants.
+  /// Called from the snapshot store's publish hook; unlike
   /// the query paths it needs no caller-held guard — the scan pins the
   /// cache's own reader slot (concurrent callers serialize on it),
   /// so entries a racing stale-replacement retires cannot be reclaimed
@@ -97,10 +104,19 @@ class PlanCache {
   bool matches(const Entry& entry, std::uint64_t hash,
                std::size_t tenant_index, std::uint64_t version,
                const PlanRequest& request) const;
+  /// After `entry` was linked into `slot`: if its version is below its
+  /// tenant's floor, unlink and retire it (unless an invalidation
+  /// already did).
+  void unlink_below_floor(std::atomic<const Entry*>& slot,
+                          const Entry* entry);
 
   EpochDomain* epoch_;
   std::size_t mask_;  // capacity - 1 (power of two)
   std::vector<std::atomic<const Entry*>> table_;
+  /// Per-tenant version floor: the highest version invalidate_below()
+  /// was called with. Entries below it must not stay linked.
+  std::array<std::atomic<std::uint64_t>, SnapshotStore::kMaxTenants>
+      floors_{};
   /// Reader slot pinned across invalidate_below scans; one slot, so
   /// concurrent invalidators serialize on the mutex (publish path only).
   std::mutex invalidate_mutex_;

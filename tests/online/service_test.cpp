@@ -1,10 +1,19 @@
 // Deterministic multi-tenant smoke test for ConstantFinderService: the
 // per-tenant trajectory must not depend on worker-thread interleaving,
 // and the bookkeeping (status, metrics, events) must stay consistent.
+// The ServiceTelemetry suite pins the convergence ring: per-layer
+// summaries by default, per-iteration traces only on request, and
+// neither ever changes a published constant.
 #include "online/service.hpp"
 
+#include <algorithm>
+#include <bit>
+#include <map>
 #include <memory>
+#include <mutex>
 #include <sstream>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -286,6 +295,200 @@ TEST(ConstantFinderService, SharedGlobalPoolByDefault) {
   EXPECT_EQ(serial.component(0).constant.bandwidth().max_abs_diff(
                 shared.component(0).constant.bandwidth()),
             0.0);
+}
+
+// ---- Convergence telemetry through the service.
+
+// Tenant "full" re-solves every refresh; tenant "tracked" lets the
+// incremental row update serve single slides, so its ring also holds
+// layers no solve produced.
+std::vector<TenantConfig> telemetry_tenants(
+    std::vector<std::unique_ptr<cloud::SyntheticCloud>>& clouds) {
+  clouds.clear();
+  clouds.push_back(std::make_unique<cloud::SyntheticCloud>(tiny_cloud(60)));
+  clouds.push_back(std::make_unique<cloud::SyntheticCloud>(tiny_cloud(61)));
+  std::vector<TenantConfig> configs;
+  configs.push_back(tenant_config("full", *clouds[0], 11));
+  configs.push_back(tenant_config("tracked", *clouds[1], 12));
+  configs[1].refresher.incremental = true;
+  return configs;
+}
+
+constexpr std::size_t kTelemetrySteps = 24;
+
+/// Every record of `log`, checked to be one summary per layer per
+/// refresh (latency then bandwidth, refresh ordinals 1..refreshes).
+std::vector<obs::SolveConvergence> checked_records(
+    const obs::ConvergenceLog& log, std::uint64_t refreshes) {
+  EXPECT_EQ(log.recorded(), 2 * refreshes);
+  EXPECT_LE(log.recorded(), log.capacity()) << "ring wrapped; raise steps";
+  const std::vector<obs::SolveConvergence> records = log.snapshot();
+  EXPECT_EQ(records.size(), 2 * refreshes);
+  for (std::size_t k = 0; k < records.size(); ++k) {
+    EXPECT_EQ(records[k].refresh, k / 2 + 1);
+    EXPECT_EQ(records[k].layer, k % 2 == 0 ? "latency" : "bandwidth");
+  }
+  return records;
+}
+
+TEST(ServiceTelemetry, DefaultsKeepSummariesWithoutTraces) {
+  // Default options: the ring holds one summary per layer per refresh
+  // with the stop-rule flags filled, and no tenant runs the solver with
+  // a probe attached (an attached probe always leaves a trace).
+  ConstantFinderService service;
+  std::vector<std::unique_ptr<cloud::SyntheticCloud>> clouds;
+  for (const TenantConfig& config : telemetry_tenants(clouds)) {
+    service.add_tenant(config);
+  }
+  service.run(kTelemetrySteps);
+
+  const MetricsRegistry& metrics = service.metrics();
+  double nonconverged_total = 0.0;
+  double polish_nonconverged_total = 0.0;
+  std::size_t incremental_layers = 0;
+  for (std::size_t t = 0; t < service.tenant_count(); ++t) {
+    const TenantStatus status = service.status(t);
+    const std::vector<obs::SolveConvergence> records =
+        checked_records(service.convergence(t), status.refreshes);
+    double nonconverged = 0.0;
+    double polish_nonconverged = 0.0;
+    for (const obs::SolveConvergence& record : records) {
+      EXPECT_TRUE(record.trace.empty());
+      if (record.incremental) {
+        ++incremental_layers;
+        EXPECT_EQ(record.iterations, 0);
+        EXPECT_EQ(record.polish_iterations, 0);
+        continue;
+      }
+      EXPECT_GT(record.iterations, 0);
+      // The online refresher always polishes a full-path solve.
+      EXPECT_GT(record.polish_iterations, 0);
+      EXPECT_GT(record.solve_seconds, 0.0);
+      if (!record.converged) ++nonconverged;
+      if (!record.polish_converged) ++polish_nonconverged;
+    }
+    const std::string prefix = "tenant." + status.name + ".";
+    EXPECT_EQ(metrics.counter_value(prefix + "rpca.nonconverged"),
+              nonconverged);
+    EXPECT_EQ(metrics.counter_value(prefix + "rpca.polish.nonconverged"),
+              polish_nonconverged);
+    nonconverged_total += nonconverged;
+    polish_nonconverged_total += polish_nonconverged;
+  }
+  EXPECT_GT(incremental_layers, 0u);
+  EXPECT_EQ(metrics.counter_value("rpca.nonconverged"), nonconverged_total);
+  EXPECT_EQ(metrics.counter_value("rpca.polish.nonconverged"),
+            polish_nonconverged_total);
+
+  // Both exporters carry the flags and the counters.
+  std::ostringstream json;
+  service.write_json_snapshot(json);
+  for (const char* field :
+       {"\"converged\":", "\"polish_iterations\":", "\"polish_converged\":",
+        "\"incremental\":", "\"trace\":[]", "\"rpca.nonconverged\"",
+        "\"rpca.polish.nonconverged\"",
+        "\"tenant.full.rpca.polish.nonconverged\""}) {
+    EXPECT_NE(json.str().find(field), std::string::npos) << field;
+  }
+  std::ostringstream prom;
+  service.write_prometheus(prom);
+  for (const char* series :
+       {"# TYPE netconst_rpca_nonconverged counter\n",
+        "# TYPE netconst_rpca_polish_nonconverged counter\n",
+        "netconst_tenant_rpca_nonconverged{tenant=\"tracked\"} ",
+        "netconst_tenant_rpca_polish_nonconverged{tenant=\"full\"} "}) {
+    EXPECT_NE(prom.str().find(series), std::string::npos) << series;
+  }
+}
+
+TEST(ServiceTelemetry, TraceCollectionIsPerTenant) {
+  // A tenant that asks for traces gets them through the service; its
+  // neighbour with default refresher options does not.
+  ConstantFinderService service;
+  std::vector<std::unique_ptr<cloud::SyntheticCloud>> clouds;
+  std::vector<TenantConfig> configs = telemetry_tenants(clouds);
+  configs[0].refresher.collect_convergence = true;
+  for (const TenantConfig& config : configs) service.add_tenant(config);
+  service.run(kTelemetrySteps);
+
+  const std::size_t capacity =
+      configs[0].refresher.convergence_trace_capacity;
+  const std::vector<obs::SolveConvergence> traced =
+      checked_records(service.convergence(0), service.status(0).refreshes);
+  for (const obs::SolveConvergence& record : traced) {
+    // The trace belongs to the accepted solve: one sample per
+    // iteration up to the cap, the last one being the final iteration.
+    ASSERT_FALSE(record.incremental);
+    const auto iterations = static_cast<std::size_t>(record.iterations);
+    ASSERT_EQ(record.trace.size(), std::min(iterations, capacity));
+    EXPECT_EQ(record.trace.front().iteration, 1);
+    if (iterations <= capacity) {
+      EXPECT_EQ(record.trace.back().iteration, record.iterations);
+    }
+  }
+  for (const obs::SolveConvergence& record : checked_records(
+           service.convergence(1), service.status(1).refreshes)) {
+    EXPECT_TRUE(record.trace.empty());
+  }
+}
+
+/// Bit patterns of every constant a tenant published, in order.
+class RecordingSink final : public SnapshotSink {
+ public:
+  void publish(const std::string& tenant,
+               const core::ConstantComponent& component, double,
+               std::uint64_t) override {
+    std::lock_guard<std::mutex> lock(mutex_);
+    std::vector<std::uint64_t>& bits = published_[tenant];
+    for (const linalg::Matrix* layer : {&component.constant.latency(),
+                                        &component.constant.bandwidth()}) {
+      for (const double value : layer->data()) {
+        bits.push_back(std::bit_cast<std::uint64_t>(value));
+      }
+    }
+  }
+  const std::map<std::string, std::vector<std::uint64_t>>& published()
+      const {
+    return published_;
+  }
+
+ private:
+  std::mutex mutex_;
+  std::map<std::string, std::vector<std::uint64_t>> published_;
+};
+
+TEST(ServiceTelemetry, TracingNeverChangesPublishedConstants) {
+  // The probe only reads: a seeded campaign publishes bit-identical
+  // constants with traces on, with the default summaries, and with the
+  // convergence ring disabled.
+  const auto campaign = [](bool collect, std::size_t capacity) {
+    ServiceOptions options;
+    options.convergence_capacity = capacity;
+    ConstantFinderService service(options);
+    RecordingSink sink;
+    service.set_snapshot_sink(&sink);
+    std::vector<std::unique_ptr<cloud::SyntheticCloud>> clouds;
+    for (TenantConfig config : telemetry_tenants(clouds)) {
+      config.refresher.collect_convergence = collect;
+      service.add_tenant(config);
+    }
+    service.run(kTelemetrySteps);
+    service.set_snapshot_sink(nullptr);
+    return std::make_pair(sink.published(),
+                          service.metrics().counter_value(
+                              "rpca.polish.nonconverged"));
+  };
+  const auto summaries = campaign(false, 64);
+  const auto traced = campaign(true, 64);
+  const auto disabled = campaign(false, 0);
+  ASSERT_EQ(summaries.first.size(), 2u);
+  for (const auto& [tenant, bits] : summaries.first) {
+    EXPECT_FALSE(bits.empty()) << tenant;
+  }
+  EXPECT_EQ(summaries.first, traced.first);
+  EXPECT_EQ(summaries.first, disabled.first);
+  EXPECT_EQ(summaries.second, traced.second);
+  EXPECT_EQ(summaries.second, disabled.second);
 }
 
 }  // namespace

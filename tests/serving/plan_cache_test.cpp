@@ -352,6 +352,39 @@ TEST(PlanCache, InvalidateRacesQueriesAndCrossTenantReclaims) {
   EXPECT_EQ(epoch.pending(), 0u);
 }
 
+TEST(PlanCache, InsertBelowTheFloorRetiresItself) {
+  // A querier pinned v1, then the v2 publish invalidated before the
+  // querier's insert: the plan is still served, but its entry must not
+  // stay linked past the last invalidation.
+  const ConstantSnapshot v1 = test_snapshot(6, 1);
+  EpochDomain epoch;
+  PlanCache cache(epoch, 64);
+  EpochDomain::Reader reader(epoch);
+  const PlanRequest request = canonical_plan_request(
+      PlanKind::BroadcastTree, {0, 1, 2}, 0, 4096);
+  EXPECT_EQ(cache.invalidate_below(0, 2), 0u);
+  // The floor never lowers.
+  EXPECT_EQ(cache.invalidate_below(0, 1), 0u);
+  {
+    EpochDomain::ReadGuard guard(reader);
+    const Plan* plan = cache.lookup_or_compute(0, v1, request);
+    ASSERT_NE(plan, nullptr);
+    EXPECT_EQ(plan->version, 1u);
+    EXPECT_EQ(plan->request.nodes, request.nodes);
+    EXPECT_EQ(cache.size(), 0u);
+    EXPECT_EQ(cache.find(0, 1, request), nullptr);
+    // The floor is per tenant: tenant 1 still caches version 1.
+    cache.lookup_or_compute(1, v1, request);
+    EXPECT_NE(cache.find(1, 1, request), nullptr);
+  }
+  EXPECT_EQ(cache.stats().invalidated, 1u);
+  EXPECT_EQ(cache.size(), 1u);
+  EXPECT_THROW(cache.invalidate_below(SnapshotStore::kMaxTenants, 1),
+               ContractViolation);
+  epoch.reclaim();
+  EXPECT_EQ(epoch.pending(), 0u);
+}
+
 TEST(PlanCache, TenantsAreIsolated) {
   const ConstantSnapshot snapshot = test_snapshot(6, 1);
   EpochDomain epoch;
