@@ -5,7 +5,8 @@
 // allocating baselines (rpca::reference) against the workspace solvers,
 // and emits machine-readable JSON (BENCH_rpca.json by default) with
 // median wall times, iteration counts, and heap-allocation counters from
-// the instrumented global allocator below. The allocation counters
+// the instrumented global allocator below, plus the host's core count and
+// the SIMD level the kernels ran at. The allocation counters
 // double as a peak-RSS proxy: peak live bytes during a solve bound the
 // solver's transient memory footprint.
 //
@@ -22,11 +23,13 @@
 #include <new>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
 #include <malloc.h>  // malloc_usable_size (glibc)
 
+#include "linalg/simd.hpp"
 #include "rpca/incremental.hpp"
 #include "rpca/reference.hpp"
 #include "rpca/rpca.hpp"
@@ -396,65 +399,6 @@ SuiteRow incremental_suite(std::size_t cluster, int slides) {
   return row;
 }
 
-/// Randomized-SVT suite at a Gram-ineligible shape (96 snapshot rows:
-/// small side > 64, so the exact path pays the allocating Jacobi SVD
-/// every iteration while the sketch stays in workspace scratch). Warm
-/// sliding trajectory — the long-window refresh this policy exists
-/// for; warm iterates are near the low-rank solution, so every SVT
-/// step's sketch is verified and accepted. The `reference` section is
-/// the exact warm solve, the `workspace` section the sketched one —
-/// the alloc gate below binds the sketched side, which must hold zero
-/// (sketch, QR and subspace scratch all pre-sized in the workspace)
-/// even though the exact side cannot at this shape.
-SuiteRow randomized_suite(int slides) {
-  SuiteRow row;
-  row.suite = "randomized";
-  row.solver = "APG";
-  row.cluster = 32;
-
-  rpca::SyntheticSpec spec;
-  spec.rows = 96;
-  spec.cols = 32 * 32;
-  spec.rank = 1;
-  spec.sparsity = 0.05;
-  Rng rng(317);
-  const auto problem = rpca::make_synthetic(spec, rng);
-  row.rows = problem.data.rows();
-  row.cols = problem.data.cols();
-
-  rpca::Options base;
-  base.polish_iterations = 300;  // the online refresher default
-
-  for (const bool randomized : {false, true}) {
-    rpca::Options opts = base;
-    opts.randomized.enabled = randomized;
-    SectionStats& stats = randomized ? row.workspace : row.reference;
-
-    linalg::Matrix data = problem.data;
-    Rng slide_rng(11);
-    rpca::SolverWorkspace ws;
-    rpca::Result result;
-    rpca::solve(data, rpca::Solver::Apg, opts, ws, result);  // anchor
-    std::vector<double> times;
-    for (int s = 0; s < slides; ++s) {
-      slide_row(data, static_cast<std::size_t>(s), slide_rng);
-      opts.warm_start.low_rank = result.low_rank;
-      opts.warm_start.sparse = result.sparse;
-      opts.warm_start.mu = result.final_mu;
-      opts.warm_start.mu_floor = result.mu_floor;
-      timed_rep(stats, times, [&] {
-        rpca::solve(data, rpca::Solver::Apg, opts, ws, result);
-        return result.iterations;
-      });
-    }
-    finish_section(stats, times);
-  }
-  row.speedup = row.workspace.median_ms > 0.0
-                    ? row.reference.median_ms / row.workspace.median_ms
-                    : 0.0;
-  return row;
-}
-
 void emit_section(std::ostream& out, const char* name,
                   const SectionStats& s) {
   out << "      \"" << name << "\": {\n"
@@ -489,8 +433,7 @@ int main(int argc, char** argv) {
 
   const std::vector<std::size_t> clusters = {16, 32, 64};
   const std::vector<rpca::Solver> solvers = {
-      rpca::Solver::Apg, rpca::Solver::Ialm, rpca::Solver::StablePcp,
-      rpca::Solver::StablePcpTf, rpca::Solver::RankOne};
+      rpca::Solver::Apg, rpca::Solver::Ialm, rpca::Solver::RankOne};
 
   std::vector<SuiteRow> rows;
   for (std::size_t cluster : clusters) {
@@ -518,15 +461,6 @@ int main(int argc, char** argv) {
     const SuiteRow& r = rows.back();
     std::cout << "incremental N=" << cluster << ": full "
               << r.reference.median_ms << " ms, update "
-              << r.workspace.median_ms << " ms, speedup " << r.speedup
-              << "x, steady-state allocs " << r.workspace.allocs << "\n";
-  }
-
-  rows.push_back(randomized_suite(slides));
-  {
-    const SuiteRow& r = rows.back();
-    std::cout << "randomized APG rows=" << r.rows << ": exact "
-              << r.reference.median_ms << " ms, sketch "
               << r.workspace.median_ms << " ms, speedup " << r.speedup
               << "x, steady-state allocs " << r.workspace.allocs << "\n";
   }
@@ -570,7 +504,12 @@ int main(int argc, char** argv) {
        << "  \"schema\": \"netconst-perf-regression-v1\",\n"
        << "  \"config\": {\"rows\": " << kRows << ", \"reps\": " << reps
        << ", \"warm_steps\": " << warm_steps
-       << ", \"smoke\": " << (smoke ? "true" : "false") << "},\n"
+       << ", \"smoke\": " << (smoke ? "true" : "false")
+       << ", \"hardware_concurrency\": "
+       << std::max(1u, std::thread::hardware_concurrency())
+       << ", \"simd_level\": \""
+       << linalg::simd::active_level_name()
+       << "\"},\n"
        << "  \"alloc_violations\": " << violations << ",\n"
        << "  \"suites\": [\n";
   for (std::size_t i = 0; i < rows.size(); ++i) {

@@ -29,12 +29,6 @@ SyntheticCloud::SyntheticCloud(const SyntheticCloudConfig& config)
   NETCONST_CHECK(config_.mean_quiet_duration > 0.0 &&
                      config_.mean_spike_duration > 0.0,
                  "interference durations must be positive");
-  NETCONST_CHECK(config_.diurnal_amplitude >= 0.0 &&
-                     config_.diurnal_amplitude < 1.0,
-                 "diurnal amplitude must be in [0, 1)");
-  NETCONST_CHECK(config_.diurnal_amplitude == 0.0 ||
-                     config_.diurnal_period > 0.0,
-                 "diurnal period must be positive when the cycle is on");
 
   const std::size_t n = config_.cluster_size;
   placement_.resize(n);
@@ -161,29 +155,15 @@ double SyntheticCloud::rack_congestion_factor(std::size_t rack) {
   return state.spiking ? state.bw_factor : 1.0;
 }
 
-double SyntheticCloud::diurnal_factor(double t) const {
-  if (config_.diurnal_amplitude == 0.0) return 1.0;
-  return 1.0 + config_.diurnal_amplitude *
-                   std::sin(2.0 * 3.14159265358979323846 * t /
-                                config_.diurnal_period +
-                            config_.diurnal_phase);
-}
-
 netmodel::LinkParams SyntheticCloud::sample_pair(std::size_t i,
                                                  std::size_t j) {
   PairState& state = pair_states_[pair_index(i, j)];
   advance_pair_state(state, now_);
   const double band_bw = std::exp(config_.band_sigma * state.rng.normal());
   const double band_lat = std::exp(config_.band_sigma * state.rng.normal());
-  // The daily load swing scales the whole fabric together: latencies
-  // stretch and bandwidths shrink by the same factor, so the constant's
-  // direction survives while its level breathes.
-  const double diurnal = diurnal_factor(now_);
   netmodel::LinkParams link;
-  link.alpha = const_alpha_[pair_index(i, j)] * band_lat * state.lat_factor *
-               diurnal;
-  link.beta = const_beta_[pair_index(i, j)] * band_bw /
-              (state.bw_factor * diurnal);
+  link.alpha = const_alpha_[pair_index(i, j)] * band_lat * state.lat_factor;
+  link.beta = const_beta_[pair_index(i, j)] * band_bw / state.bw_factor;
   // Cross-rack pairs additionally share their racks' uplinks; an ongoing
   // rack congestion event degrades every pair touching the rack.
   if (placement_[i] != placement_[j]) {

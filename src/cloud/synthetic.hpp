@@ -60,17 +60,6 @@ struct SyntheticCloudConfig {
   double mean_rack_congestion_duration = 300.0;
   double max_rack_congestion_factor = 4.0;    // bw divided by U(1.5, max)
 
-  // Diurnal load cycle: a slow cluster-wide multiplicative swing with
-  // the data center's daily load. At factor f(t) = 1 + amplitude *
-  // sin(2 pi t / period + phase) every latency is multiplied by f and
-  // every bandwidth divided by f — the whole constant scales together,
-  // so its DIRECTION is preserved while its level breathes (the
-  // baseline-drift regime the change-point detector must separate from
-  // placement shifts). 0 amplitude disables (the default).
-  double diurnal_amplitude = 0.0;   // peak fractional swing, < 1
-  double diurnal_period = 86400.0;  // seconds per cycle
-  double diurnal_phase = 0.0;       // radians at t = 0
-
   // Significant changes: mean seconds between VM migrations; 0 disables.
   double mean_migration_interval = 0.0;
 
@@ -106,9 +95,6 @@ class SyntheticCloud final : public NetworkProvider {
 
   /// Number of migrations that have occurred so far.
   std::size_t migration_count() const { return migration_count_; }
-
-  /// The diurnal load factor at time `t` (1 when the cycle is off).
-  double diurnal_factor(double t) const;
 
   /// Instantaneous link parameters for one pair (advances that pair's
   /// interference process to the current time). i != j.

@@ -6,7 +6,11 @@
 #include "support/error.hpp"
 
 namespace netconst::linalg {
+namespace {
 
+// In-place Householder factorization of `work` (m x n, m >= n): on
+// return the upper triangle holds R and the essential parts of the
+// reflectors sit below the diagonal with scaling factors in `tau`.
 void qr_factor_inplace(Matrix& work, std::vector<double>& tau) {
   NETCONST_CHECK(work.rows() >= work.cols(),
                  "Householder factorization requires rows >= cols");
@@ -39,6 +43,8 @@ void qr_factor_inplace(Matrix& work, std::vector<double>& tau) {
   }
 }
 
+// Form the thin Q (m x n, orthonormal columns) of a factorization
+// produced by qr_factor_inplace.
 void qr_thin_q_into(const Matrix& work, const std::vector<double>& tau,
                     Matrix& q) {
   const std::size_t m = work.rows();
@@ -64,8 +70,6 @@ void qr_thin_q_into(const Matrix& work, const std::vector<double>& tau,
     }
   }
 }
-
-namespace {
 
 // Apply Q^T (product of reflectors in `work`/`tau`) to a vector in place.
 void apply_qt(const Matrix& work, const std::vector<double>& tau,

@@ -21,22 +21,6 @@ struct QrResult {
 /// Compute the thin QR factorization. Requires rows >= cols.
 QrResult qr_decompose(const Matrix& a);
 
-/// In-place Householder factorization of `work` (m x n, m >= n): on
-/// return the upper triangle holds R and the essential parts of the
-/// reflectors sit below the diagonal with scaling factors in `tau`
-/// (resized to n; capacity-reusing). The building block behind
-/// qr_decompose, exposed for callers that own their scratch — the
-/// randomized SVD re-orthonormalizes its sketch panel through this
-/// without allocating. Sequential scalar code: bit-identical results at
-/// every thread count and SIMD level.
-void qr_factor_inplace(Matrix& work, std::vector<double>& tau);
-
-/// Form the thin Q (m x n, orthonormal columns) of a factorization
-/// produced by qr_factor_inplace into caller-owned `q` (resized;
-/// capacity-reusing, no allocation once warm).
-void qr_thin_q_into(const Matrix& work, const std::vector<double>& tau,
-                    Matrix& q);
-
 /// Solve min ||A x - b||_2 for full-column-rank A via QR. Throws Error if
 /// R is numerically singular.
 std::vector<double> least_squares(const Matrix& a,

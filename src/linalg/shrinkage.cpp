@@ -9,7 +9,11 @@
 #include "support/parallel_for.hpp"
 
 namespace netconst::linalg {
+namespace {
 
+// True when singular_value_threshold_into takes the allocation-free Gram
+// fast path for this shape (mirror of svd()'s Auto resolution, plus
+// rows <= cols).
 bool gram_fast_path_applies(const Matrix& a, const SvdOptions& options) {
   if (a.empty()) return false;  // let the general path report the error
   SvdMethod method = options.method;
@@ -21,8 +25,6 @@ bool gram_fast_path_applies(const Matrix& a, const SvdOptions& options) {
   }
   return method == SvdMethod::Gram && a.rows() <= a.cols();
 }
-
-namespace {
 
 // Auto method resolution never takes the Gram route above this many
 // rows; a larger row count only appears when the caller forces
@@ -365,22 +367,6 @@ SvtInfo singular_value_threshold_into(const Matrix& a, double tau,
   }
   gram_reconstruct_shrunk(a, scratch, out);
   return info;
-}
-
-void low_rank_approximation_into(const Matrix& a, std::size_t k,
-                                 const SvdOptions& options,
-                                 GramSvtScratch& scratch, Matrix& out) {
-  if (!gram_fast_path_applies(a, options)) {
-    out = low_rank_approximation(a, k, options);
-    return;
-  }
-  gram_spectrum(a, scratch);
-  const std::size_t m = a.rows();
-  scratch.shrunk.resize(m);
-  for (std::size_t i = 0; i < m; ++i) {
-    scratch.shrunk[i] = i < k ? scratch.singular_values[i] : 0.0;
-  }
-  gram_reconstruct_shrunk(a, scratch, out);
 }
 
 }  // namespace netconst::linalg

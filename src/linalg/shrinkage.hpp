@@ -41,13 +41,6 @@ struct GramSvtScratch {
   Matrix u_kept;  // m x rank panel of the kept U columns, packed
 };
 
-/// True when singular_value_threshold_into would take the allocation-
-/// free Gram fast path for this shape (mirror of svd()'s Auto
-/// resolution, plus rows <= cols). Exposed so the RPCA SVT dispatch can
-/// tell which shapes the exact path already serves cheaply — the
-/// randomized sketch only pays off where this is false.
-bool gram_fast_path_applies(const Matrix& a, const SvdOptions& options);
-
 /// Diagnostics of one scratch-based SVT application.
 struct SvtInfo {
   std::size_t rank = 0;  // singular values that survived the threshold
@@ -68,12 +61,5 @@ struct SvtInfo {
 SvtInfo singular_value_threshold_into(const Matrix& a, double tau,
                                       const SvdOptions& options,
                                       GramSvtScratch& scratch, Matrix& out);
-
-/// Best rank-k approximation written into `out` through the same scratch
-/// machinery (stable PCP's debias step). Numerically identical to
-/// low_rank_approximation.
-void low_rank_approximation_into(const Matrix& a, std::size_t k,
-                                 const SvdOptions& options,
-                                 GramSvtScratch& scratch, Matrix& out);
 
 }  // namespace netconst::linalg

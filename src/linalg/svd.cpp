@@ -221,13 +221,4 @@ SvdResult svd(const Matrix& a, const SvdOptions& options) {
   return jacobi_path(a, options);
 }
 
-Matrix low_rank_approximation(const Matrix& a, std::size_t k,
-                              const SvdOptions& options) {
-  SvdResult r = svd(a, options);
-  for (std::size_t i = k; i < r.singular_values.size(); ++i) {
-    r.singular_values[i] = 0.0;
-  }
-  return r.reconstruct();
-}
-
 }  // namespace netconst::linalg

@@ -48,8 +48,4 @@ struct SvdResult {
 /// Compute the thin SVD. Throws ContractViolation on an empty input.
 SvdResult svd(const Matrix& a, const SvdOptions& options = {});
 
-/// Best rank-k approximation of `a` (truncated SVD product).
-Matrix low_rank_approximation(const Matrix& a, std::size_t k,
-                              const SvdOptions& options = {});
-
 }  // namespace netconst::linalg

@@ -86,11 +86,19 @@ Trace Trace::load_csv(const std::string& path) {
       throw Error("trace row " + std::to_string(r) +
                   ": non-finite timestamp");
     }
+    // Rows of one snapshot are contiguous, so a later group may never
+    // step back in time.
+    if (series.row_count() > 0 &&
+        time < series.time_at(series.row_count() - 1)) {
+      throw Error("trace row " + std::to_string(r) + ": timestamp " +
+                  format_double(time) + " precedes the previous snapshot");
+    }
     PerformanceMatrix snap(n);
     while (r < table.row_count() && table.number(r, ct) == time) {
       const auto i = parse_vm_index(table, r, ci, index_limit);
       const auto j = parse_vm_index(table, r, cj, index_limit);
-      NETCONST_CHECK(i != j, "trace contains a self-link row");
+      NETCONST_CHECK(i != j, "trace row " + std::to_string(r) +
+                                 " is a self-link");
       const double alpha = table.number(r, ca);
       const double beta = table.number(r, cb);
       if (!std::isfinite(alpha) || !std::isfinite(beta)) {

@@ -37,7 +37,6 @@ void WindowRefresher::solve_layer(const linalg::Matrix& data,
                                   rpca::WarmStart& seed, rpca::Result& result,
                                   LayerRefresh& info) {
   const Stopwatch clock;
-  const std::size_t accepts_before = workspace_.stats.randomized_accepts;
   if (linalg::frobenius_norm(data) == 0.0) {
     // A fully-unobserved window imputes to all zeros when no constant is
     // known yet (fresh bootstrap under total probe loss). The solvers
@@ -89,7 +88,7 @@ void WindowRefresher::solve_layer(const linalg::Matrix& data,
   info.warm_used = result.warm_started;
 
   if (result.warm_started &&
-      ((options_.fallback_on_nonconvergence && !result.converged) ||
+      (!result.converged ||
        result.solver_residual > options_.divergence_residual ||
        (result.polished && !result.polish_converged))) {
     // The seed led the solve astray (window contents changed too much,
@@ -106,8 +105,6 @@ void WindowRefresher::solve_layer(const linalg::Matrix& data,
   info.converged = result.converged;
   info.polish_iterations = result.polish_iterations;
   info.polish_converged = result.polish_converged;
-  info.randomized_steps =
-      workspace_.stats.randomized_accepts - accepts_before;
   info.solve_seconds = clock.seconds();
 }
 

@@ -42,11 +42,9 @@ struct RefresherOptions {
   bool warm_start = true;
   /// A warm solve whose pre-polish relative residual
   /// ||A-D-E||_F/||A||_F exceeds this is declared diverged and redone
-  /// cold. Irrelevant for solvers whose residual is expected nonzero
-  /// (StablePcp ignores seeds anyway).
+  /// cold. A warm solve that hits max_iterations, or whose polish does
+  /// not settle, is redone cold as well.
   double divergence_residual = 1e-3;
-  /// Also redo cold when the warm solve hit max_iterations.
-  bool fallback_on_nonconvergence = true;
   /// Collect the accepted solve's per-iteration convergence trace into
   /// LayerRefresh::trace (see obs/convergence.hpp). Off by default: the
   /// probe makes four extra full-matrix passes per APG iteration (~20%
@@ -100,9 +98,6 @@ struct LayerRefresh {
   bool incremental_masked = false; // eligible slide had holes; full path
   bool anchored = false;           // this refresh re-anchored the tracker
   double drift = 0.0;              // instant drift statistic of the update
-  /// Accepted randomized-SVT steps inside this layer's solve (0 when
-  /// the exact path or the row update served it).
-  std::size_t randomized_steps = 0;
   // Sparse-support geometry of the accepted factors at the window's
   // relative-l0 cutoff (RefresherOptions::collect_support_stats; all
   // zero otherwise). See detect::support_stats.

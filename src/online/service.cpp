@@ -83,7 +83,6 @@ struct ConstantFinderService::ServiceMetrics {
   Counter& stale_rows = metrics.counter("online.stale_rows_reused");
   Counter& imputed_entries = metrics.counter("online.imputed_entries");
   Counter& svd_full = metrics.counter("rpca.svd.path.full");
-  Counter& svd_randomized = metrics.counter("rpca.svd.path.randomized");
   Counter& svd_incremental = metrics.counter("rpca.svd.path.incremental");
   Counter& incremental_updates = metrics.counter("rpca.incremental.updates");
   Counter& anchors = metrics.counter("rpca.incremental.anchors");
@@ -270,15 +269,14 @@ void ConstantFinderService::account_layers(Tenant& tenant,
   ServiceMetrics& global = *global_;
   for (const LayerRefresh* layer : {&report.latency, &report.bandwidth}) {
     // Which machinery produced this layer's factors: the incremental
-    // row update, the randomized-SVT solver path, or the exact solver.
+    // row update or the full solver.
     if (layer->incremental_used) {
       tenant.incremental_updates.increment();
       global.incremental_updates.increment();
       global.svd_incremental.increment();
       continue;  // no solve ran for this layer
     }
-    (layer->randomized_steps > 0 ? global.svd_randomized : global.svd_full)
-        .increment();
+    global.svd_full.increment();
     if (layer->drift_fallback) {
       tenant.drift_fallbacks.increment();
       global.drift_fallbacks.increment();

@@ -8,7 +8,6 @@
 #include "linalg/shrinkage.hpp"
 #include "obs/convergence.hpp"
 #include "obs/trace.hpp"
-#include "rpca/svd_path.hpp"
 #include "rpca/workspace.hpp"
 #include "support/error.hpp"
 #include "support/stopwatch.hpp"
@@ -87,7 +86,8 @@ void solve_apg(const linalg::Matrix& a, const Options& options,
     ws.d.swap(ws.d_prev);
     ws.e.swap(ws.e_prev);
     ws.e.swap(ws.ge);
-    const auto svt = svt_step(ws.gd, mu * inv_lf, options, ws, ws.d);
+    const auto svt = linalg::singular_value_threshold_into(
+        ws.gd, mu * inv_lf, options.svd, ws.svt, ws.d);
     if (!svt.used_scratch) ++ws.stats.svt_fallbacks;
     result.rank = svt.rank;
 

@@ -6,7 +6,6 @@
 #include "linalg/fused.hpp"
 #include "linalg/norms.hpp"
 #include "linalg/shrinkage.hpp"
-#include "rpca/svd_path.hpp"
 #include "rpca/workspace.hpp"
 #include "support/error.hpp"
 #include "support/stopwatch.hpp"
@@ -53,7 +52,8 @@ void solve_ialm(const linalg::Matrix& a, const Options& options,
   for (int k = 0; k < options.max_iterations; ++k) {
     // D-step: SVT of A - E + Y/mu at threshold 1/mu.
     linalg::sub_add_scaled(a, ws.e, 1.0 / mu, ws.y, ws.target);
-    const auto svt = svt_step(ws.target, 1.0 / mu, options, ws, ws.d);
+    const auto svt = linalg::singular_value_threshold_into(
+        ws.target, 1.0 / mu, options.svd, ws.svt, ws.d);
     if (!svt.used_scratch) ++ws.stats.svt_fallbacks;
     result.rank = svt.rank;
 

@@ -3,8 +3,8 @@
 // These are the original allocation-per-expression RPCA solvers, kept
 // verbatim for two jobs:
 //
-//  * equivalence testing — the workspace solvers in apg/ialm/rank1/
-//    stable_pcp must reproduce these bit for bit (the fused kernels and
+//  * equivalence testing — the workspace solvers in apg/ialm/rank1
+//    must reproduce these bit for bit (the fused kernels and
 //    scratch SVD paths preserve floating-point operation order; see
 //    tests/rpca/workspace_equivalence_test.cpp);
 //  * the perf baseline — bench/perf_regression.cpp reports workspace
@@ -15,8 +15,6 @@
 #pragma once
 
 #include "rpca/rpca.hpp"
-#include "rpca/stable_pcp.hpp"
-#include "rpca/stable_pcp_tf.hpp"
 
 namespace netconst::rpca::reference {
 
@@ -28,13 +26,5 @@ Result solve(const linalg::Matrix& a, Solver solver,
 Result solve_apg(const linalg::Matrix& a, const Options& options);
 Result solve_ialm(const linalg::Matrix& a, const Options& options);
 Result solve_rank1(const linalg::Matrix& a, const Options& options);
-Result solve_stable_pcp(const linalg::Matrix& a,
-                        const StablePcpOptions& options = {});
-// The TF-constrained variant's transform kernels (basis build, panel
-// products, coefficient shrink) are sequential scalar loops shared with
-// the production solver — sharing them is what makes the equivalence
-// structural rather than a rewrite that has to be re-validated.
-Result solve_stable_pcp_tf(const linalg::Matrix& a,
-                           const StablePcpTfOptions& options = {});
 
 }  // namespace netconst::rpca::reference

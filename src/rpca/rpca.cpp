@@ -8,8 +8,6 @@
 #include "rpca/apg.hpp"
 #include "rpca/ialm.hpp"
 #include "rpca/rank1.hpp"
-#include "rpca/stable_pcp.hpp"
-#include "rpca/stable_pcp_tf.hpp"
 #include "rpca/workspace.hpp"
 #include "support/error.hpp"
 #include "support/stopwatch.hpp"
@@ -24,10 +22,6 @@ std::string solver_name(Solver solver) {
       return "IALM";
     case Solver::RankOne:
       return "Rank1";
-    case Solver::StablePcp:
-      return "StablePCP";
-    case Solver::StablePcpTf:
-      return "StablePCP-TF";
   }
   return "unknown";
 }
@@ -55,10 +49,6 @@ const char* solve_span_name(Solver solver) {
       return "rpca.solve.ialm";
     case Solver::RankOne:
       return "rpca.solve.rank1";
-    case Solver::StablePcp:
-      return "rpca.solve.stable_pcp";
-    case Solver::StablePcpTf:
-      return "rpca.solve.stable_pcp_tf";
   }
   return "rpca.solve";
 }
@@ -83,15 +73,6 @@ void solve(const linalg::Matrix& a, Solver solver, const Options& options,
       break;
     case Solver::RankOne:
       solve_rank1(a, options, lambda, workspace, result);
-      break;
-    case Solver::StablePcp:
-      solve_stable_pcp(a, options, lambda, /*noise_sigma=*/0.0, workspace,
-                       result);
-      break;
-    case Solver::StablePcpTf:
-      solve_stable_pcp_tf(a, options, lambda, /*noise_sigma=*/0.0,
-                          kDefaultTfPassband, kDefaultTfWeight, workspace,
-                          result);
       break;
     default:
       throw Error("unknown RPCA solver");

@@ -11,18 +11,10 @@
 //              used as an ablation;
 //  * RankOne — alternating projection with a hard rank-1 constraint,
 //              matching the paper's problem statement (rank(N_D) = 1)
-//              exactly rather than through the nuclear-norm surrogate;
-//  * StablePcp — stable principal component pursuit, which additionally
-//              tolerates dense small noise (the volatility band) in the
-//              residual instead of forcing it into E;
-//  * StablePcpTf — time-frequency constrained stable PCP (Hu/Wang/Yin),
-//              which further band-limits D along the time axis so slow
-//              diurnal/baseline structure stays in the constant
-//              component while fast churn is pushed out of it.
+//              exactly rather than through the nuclear-norm surrogate.
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
 #include <string>
 
 #include "linalg/matrix.hpp"
@@ -34,7 +26,7 @@ class SolverProbe;  // per-iteration convergence observer (obs/convergence.hpp)
 
 namespace netconst::rpca {
 
-enum class Solver { Apg, Ialm, RankOne, StablePcp, StablePcpTf };
+enum class Solver { Apg, Ialm, RankOne };
 
 // Defined in workspace.hpp; forward-declared so the workspace-based
 // solve overloads below don't force every client through that header.
@@ -60,47 +52,6 @@ struct WarmStart {
   bool empty() const { return low_rank.empty() && sparse.empty(); }
 };
 
-/// Policy for routing the solvers' SVT steps through the randomized
-/// sketch (linalg/randomized_svd.hpp) instead of a full decomposition.
-/// Off by default: the exact path is what the bit-exact equivalence
-/// against rpca::reference is pinned to, and the Gram fast path already
-/// serves paper-shaped windows (<= 64 snapshot rows) allocation-free.
-/// Enable for long windows, where the exact path would fall back to the
-/// allocating Jacobi SVD every iteration. Every randomized application
-/// is verified: the truncation-error bound ||A - Q Q^T A||_F must stay
-/// within max(tau_safety * tau, error_budget_rel * ||A||_F) or the step
-/// is redone exactly (WorkspaceStats::randomized_fallbacks counts the
-/// trips). See docs/ALGORITHMS.md "Incremental RPCA & randomized SVD".
-struct RandomizedSvdPolicy {
-  bool enabled = false;
-  /// Also sketch on shapes the Gram fast path serves (A/B tests and
-  /// ablations; never a win in production).
-  bool always = false;
-  /// Seed of the workspace's sketch stream. Fixed default so identical
-  /// call sequences through fresh workspaces reproduce bit-identically
-  /// at any thread count and SIMD level.
-  std::uint64_t seed = 0x6e6574636f6e7374ULL;
-  std::size_t oversampling = 4;
-  int power_iterations = 1;
-  /// Initial / floor target rank; the dispatch adapts upward from the
-  /// rank the previous SVT step kept (+1 headroom).
-  std::size_t min_rank = 2;
-  /// Hard cap on the adaptive target rank. One in-call growth retry is
-  /// attempted before falling back to the exact decomposition.
-  std::size_t max_rank = 96;
-  /// Accept when the truncation bound is below this fraction of the
-  /// threshold: every singular value the sketch missed would have been
-  /// shrunk to (near) zero anyway.
-  double tau_safety = 0.5;
-  /// Extra relative budget: also accept when the bound is below this
-  /// fraction of ||A||_F — an inexact proximal step whose perturbation
-  /// sits orders of magnitude under the solver tolerance. The floor is
-  /// set by the bound's own arithmetic: ||A||_F^2 - ||B||_F^2 carries
-  /// ~sqrt(size * eps) * ||A||_F of cancellation noise (~5e-7 relative
-  /// at paper shapes), so budgets below ~1e-6 reject perfect sketches.
-  double error_budget_rel = 1e-6;
-};
-
 struct Options {
   /// Sparsity weight. <= 0 selects the standard 1/sqrt(max(m, n)).
   double lambda = 0.0;
@@ -109,8 +60,6 @@ struct Options {
   /// (Ialm/RankOne) or on the iterate change (Apg).
   double tolerance = 1e-7;
   linalg::SvdOptions svd;
-  /// Randomized-SVT routing policy (default off = exact solves).
-  RandomizedSvdPolicy randomized;
   /// Optional warm-start seed. Currently honored by Apg; solvers that
   /// do not support seeding run cold and report it via
   /// Result::warm_start_ignored (never silently).

@@ -30,15 +30,6 @@ void SolverWorkspace::reserve(std::size_t rows, std::size_t cols) {
   rank1.u.reserve(rows);
   rank1.v.reserve(cols);
   rank1.w.reserve(cols);
-  magnitudes.reserve(rows * cols);
-  dct.basis.resize(rows, rows);
-  dct.coeffs.resize(rows, cols);
-}
-
-void SolverWorkspace::reserve_randomized(std::size_t rows, std::size_t cols,
-                                         const RandomizedSvdPolicy& policy) {
-  randomized.scratch.reserve(rows, cols,
-                             policy.max_rank + policy.oversampling);
 }
 
 void reset_result(Result& result) {

@@ -24,10 +24,8 @@
 
 #include "linalg/matrix.hpp"
 #include "linalg/norms.hpp"
-#include "linalg/randomized_svd.hpp"
 #include "linalg/shrinkage.hpp"
 #include "rpca/rpca.hpp"
-#include "support/rng.hpp"
 
 namespace netconst::rpca {
 
@@ -43,29 +41,6 @@ struct WorkspaceStats {
   /// SVT calls that fell off the allocation-free Gram fast path onto the
   /// general (allocating) SVD. Zero for paper-shaped (wide) data.
   std::size_t svt_fallbacks = 0;
-  /// Randomized-SVT dispatch accounting (Options::randomized; all zero
-  /// while the policy is off). attempts = sketches computed (including
-  /// growth retries); accepts = steps whose truncation bound passed;
-  /// retries = in-call sketch growths after a reject; fallbacks =
-  /// steps redone through the exact decomposition.
-  std::size_t randomized_attempts = 0;
-  std::size_t randomized_accepts = 0;
-  std::size_t randomized_retries = 0;
-  std::size_t randomized_fallbacks = 0;
-};
-
-/// Randomized-SVT state threaded through the solvers: the sketch/QR
-/// scratch, the workspace's deterministic sketch stream, and the
-/// adaptive rank target carried between SVT steps. The stream is
-/// reseeded from RandomizedSvdPolicy::seed on first use, so a fresh
-/// workspace replays the same sketches for the same call sequence.
-struct RandomizedSvtState {
-  linalg::RandomizedSvdScratch scratch;
-  Rng rng;
-  bool seeded = false;
-  /// Next SVT step's target rank (0 = start from the policy minimum);
-  /// updated to last kept rank + 1 after every accepted step.
-  std::size_t next_rank = 0;
 };
 
 /// Power-iteration vectors for rank1_approximation_into.
@@ -73,16 +48,6 @@ struct Rank1Scratch {
   std::vector<double> u;  // left iterate, length m
   std::vector<double> v;  // right iterate, length n
   std::vector<double> w;  // A^T u intermediate, length n
-};
-
-/// Temporal-DCT working set for the time-frequency stable PCP solver:
-/// the orthonormal DCT-II basis, cached per window length so repeated
-/// solves of the same shape never rebuild it, and the coefficient panel
-/// the band-limiting prox step shrinks in.
-struct TemporalDctScratch {
-  linalg::Matrix basis;        // basis_rows x basis_rows frequency atoms
-  linalg::Matrix coeffs;       // rows x cols coefficient panel
-  std::size_t basis_rows = 0;  // window length `basis` was built for
 };
 
 /// The full working set of one solver instance. Matrices are rotated
@@ -104,13 +69,6 @@ struct SolverWorkspace {
   linalg::SpectralNormScratch spectral;
   // rank-1 approximation / polish power-iteration vectors.
   Rank1Scratch rank1;
-  // Randomized-SVT scratch, stream and adaptive rank state (sized on
-  // demand; reserve_randomized front-loads it).
-  RandomizedSvtState randomized;
-  // |residual| magnitudes for stable PCP's MAD noise estimate.
-  std::vector<double> magnitudes;
-  // Temporal-DCT basis and coefficient panel for TF stable PCP.
-  TemporalDctScratch dct;
 
   WorkspaceStats stats;
 
@@ -118,13 +76,6 @@ struct SolverWorkspace {
   /// solve's iterations run allocation-free. Optional — solvers size
   /// everything on demand; this just front-loads the cost.
   void reserve(std::size_t rows, std::size_t cols);
-
-  /// Additionally pre-size the randomized-SVT sketch/QR scratch for the
-  /// given policy (sketch widths up to max_rank + oversampling). Kept
-  /// separate from reserve(): the sketch panel is rows-of-width-cols and
-  /// would be dead weight for the default exact path.
-  void reserve_randomized(std::size_t rows, std::size_t cols,
-                          const RandomizedSvdPolicy& policy);
 };
 
 /// Reset every scalar/diagnostic field of `result` to its default while

@@ -17,7 +17,7 @@ std::vector<std::string> split_line(const std::string& line) {
     if (c == ',') {
       fields.push_back(field);
       field.clear();
-    } else if (c != '\r') {
+    } else {
       field.push_back(c);
     }
   }
@@ -31,7 +31,7 @@ std::size_t CsvTable::column_index(const std::string& name) const {
   for (std::size_t i = 0; i < header.size(); ++i) {
     if (header[i] == name) return i;
   }
-  throw Error("CSV column not found: " + name);
+  throw Error("CSV header has no column: " + name);
 }
 
 double CsvTable::number(std::size_t row, std::size_t col) const {
@@ -79,6 +79,11 @@ CsvTable read_csv(std::istream& in) {
   std::size_t line_number = 0;
   while (std::getline(in, line)) {
     ++line_number;
+    // CRLF files: drop the line's own CR before anything else, so a
+    // blank CRLF line is skipped like a blank LF one. A CR anywhere else
+    // is corruption and stays in its field, where a numeric cell then
+    // fails to parse instead of silently joining two digit runs.
+    if (!line.empty() && line.back() == '\r') line.pop_back();
     if (line.empty() || line[0] == '#') continue;
     auto fields = split_line(line);
     if (!have_header) {

@@ -202,16 +202,5 @@ TEST(ChaosDeterminism, DetectorVerdictsAreThreadCountInvariant) {
   EXPECT_GE(verdicts, 1u);
 }
 
-// The time-frequency constrained solver adds DCT projections to the
-// refresh path; like the other solvers they are deterministic per
-// tenant, independent of the service's worker count.
-TEST(ChaosDeterminism, StablePcpTfCampaignIsThreadCountInvariant) {
-  const CampaignResult single =
-      run_campaign(1, false, false, rpca::Solver::StablePcpTf);
-  const CampaignResult parallel =
-      run_campaign(8, false, false, rpca::Solver::StablePcpTf);
-  expect_identical(single, parallel);
-}
-
 }  // namespace
 }  // namespace netconst::online

@@ -158,24 +158,6 @@ TEST(Svd, TpMatrixShape) {
   EXPECT_LT(a.max_abs_diff(result.reconstruct()), 1e-9);
 }
 
-TEST(Svd, LowRankApproximationOptimality) {
-  Rng rng(57);
-  Matrix a = random_matrix(12, 9, rng);
-  const Matrix approx = low_rank_approximation(a, 3);
-  const auto full = svd(a);
-  // Eckart-Young: the rank-3 truncation error is sqrt(sum of the
-  // discarded squared singular values).
-  double expected2 = 0.0;
-  for (std::size_t k = 3; k < full.singular_values.size(); ++k) {
-    expected2 += full.singular_values[k] * full.singular_values[k];
-  }
-  Matrix diff = a;
-  diff -= approx;
-  double actual2 = 0.0;
-  for (double v : diff.data()) actual2 += v * v;
-  EXPECT_NEAR(actual2, expected2, 1e-8);
-}
-
 TEST(Svd, FrobeniusEqualsSingularValueNorm) {
   Rng rng(58);
   Matrix a = random_matrix(7, 11, rng);

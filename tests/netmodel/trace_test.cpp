@@ -2,9 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <fstream>
+
 #include "support/csv.hpp"
 #include "support/error.hpp"
 #include "support/rng.hpp"
+#include "../support/proptest.hpp"
 
 namespace netconst::netmodel {
 namespace {
@@ -174,6 +178,63 @@ TEST(Trace, MissingLinksSurviveTheCsvRoundTrip) {
   EXPECT_TRUE(back.series().snapshot(0).link_missing(0, 2));
   EXPECT_EQ(back.series().snapshot(0).missing_links(), 1u);
   EXPECT_DOUBLE_EQ(back.series().snapshot(0).link(1, 2).alpha, 1e-4);
+}
+
+TEST(Trace, LoadRejectsTimestampsGoingBackwards) {
+  EXPECT_THROW(Trace::load_csv(write_rows({{"30", "0", "1", "0.1", "1e6"},
+                                           {"0", "1", "0", "0.1", "1e6"}},
+                                          "backwards")),
+               Error);
+}
+
+// Property fuzz: seeded corruptions of valid trace files either load
+// into a trace whose timestamps are finite and increasing and whose
+// links are valid (alpha >= 0, beta > 0, both finite) or the missing-link
+// sentinel, or fail with an Error that names the offending line or row.
+TEST(Trace, PropertyFuzzedFilesLoadValidOrNameTheirRow) {
+  const std::string path = ::testing::TempDir() + "/netconst_trace_fuzz.csv";
+  std::size_t accepted = 0, rejected = 0;
+  testing::run_property(0x7ACEF022, 400, [&](Rng& rng) {
+    const std::string text =
+        testing::mutate_csv(rng, testing::random_trace_csv(rng));
+    SCOPED_TRACE(text);
+    {
+      std::ofstream out(path, std::ios::binary);
+      out << text;
+    }
+    Trace trace;
+    try {
+      trace = Trace::load_csv(path);
+    } catch (const Error& e) {
+      ++rejected;
+      EXPECT_TRUE(testing::names_line_or_row(e.what())) << e.what();
+      return;
+    }
+    ++accepted;
+    const TemporalPerformance& series = trace.series();
+    ASSERT_GT(series.row_count(), 0u);
+    for (std::size_t s = 0; s < series.row_count(); ++s) {
+      const double t = series.time_at(s);
+      EXPECT_TRUE(std::isfinite(t));
+      if (s > 0) {
+        EXPECT_GT(t, series.time_at(s - 1));
+      }
+      const PerformanceMatrix& snap = series.snapshot(s);
+      for (std::size_t i = 0; i < snap.size(); ++i) {
+        for (std::size_t j = 0; j < snap.size(); ++j) {
+          if (i == j) continue;
+          const LinkParams link = snap.link(i, j);
+          if (is_missing(link)) continue;
+          EXPECT_TRUE(std::isfinite(link.alpha) && link.alpha >= 0.0 &&
+                      std::isfinite(link.beta) && link.beta > 0.0)
+              << "snapshot " << s << " link " << i << "->" << j
+              << ": alpha " << link.alpha << ", beta " << link.beta;
+        }
+      }
+    }
+  });
+  EXPECT_GT(accepted, 0u);
+  EXPECT_GT(rejected, 0u);
 }
 
 }  // namespace

@@ -13,7 +13,6 @@
 #include "linalg/simd.hpp"
 #include "rpca/reference.hpp"
 #include "rpca/rpca.hpp"
-#include "rpca/stable_pcp.hpp"
 #include "rpca/validation.hpp"
 #include "rpca/workspace.hpp"
 #include "support/rng.hpp"
@@ -64,8 +63,7 @@ TEST(WorkspaceEquivalence, AllSolversMatchReferenceBitExactly) {
   const linalg::Matrix a = tp_shaped_problem(10, 64, 7);
   Options opts;
   opts.max_iterations = 200;
-  for (const Solver solver :
-       {Solver::Apg, Solver::Ialm, Solver::RankOne, Solver::StablePcp}) {
+  for (const Solver solver : {Solver::Apg, Solver::Ialm, Solver::RankOne}) {
     SCOPED_TRACE(solver_name(solver));
     const Result ws = solve(a, solver, opts);
     const Result ref = reference::solve(a, solver, opts);

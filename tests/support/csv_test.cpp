@@ -7,6 +7,7 @@
 #include <string>
 
 #include "support/error.hpp"
+#include "proptest.hpp"
 
 namespace netconst {
 namespace {
@@ -139,6 +140,57 @@ TEST(Csv, NumberParsesNonFiniteSentinels) {
   table.rows = {{"nan"}, {"inf"}};
   EXPECT_TRUE(std::isnan(table.number(0, 0)));
   EXPECT_TRUE(std::isinf(table.number(1, 0)));
+}
+
+// A CRLF file may contain blank CRLF lines; they are skipped like blank
+// LF lines. A CR inside a line is not a line ending and stays in its
+// cell, so the cell no longer parses as a number.
+TEST(Csv, BlankCrlfLinesSkippedAndInteriorCrKept) {
+  std::stringstream ss("a,b\r\n\r\n1,2\r\n\r\n3,4\r5\r\n");
+  const CsvTable table = read_csv(ss);
+  ASSERT_EQ(table.row_count(), 2u);
+  EXPECT_EQ(table.number(0, 1), 2.0);
+  EXPECT_EQ(table.rows[1][1], "4\r5");
+  EXPECT_THROW(table.number(1, 1), Error);
+}
+
+// Property fuzz: seeded corruptions of valid trace files either parse
+// into a rectangular table, or fail with an Error that says where. On
+// an accepted table every cell either reads as a number or its Error
+// names the row and column.
+TEST(Csv, PropertyFuzzedInputsParseOrNameTheirLine) {
+  std::size_t accepted = 0, rejected = 0;
+  testing::run_property(0xC5F0220, 400, [&](Rng& rng) {
+    const std::string text =
+        testing::mutate_csv(rng, testing::random_trace_csv(rng));
+    SCOPED_TRACE(text);
+    std::istringstream in(text);
+    CsvTable table;
+    try {
+      table = read_csv(in);
+    } catch (const Error& e) {
+      ++rejected;
+      EXPECT_TRUE(testing::names_line_or_row(e.what())) << e.what();
+      return;
+    }
+    ++accepted;
+    for (std::size_t r = 0; r < table.row_count(); ++r) {
+      ASSERT_EQ(table.rows[r].size(), table.column_count());
+      for (std::size_t c = 0; c < table.column_count(); ++c) {
+        try {
+          table.number(r, c);
+        } catch (const Error& e) {
+          const std::string where = "(row " + std::to_string(r) +
+                                    ", column " + std::to_string(c) + ")";
+          EXPECT_NE(std::string(e.what()).find(where), std::string::npos)
+              << e.what();
+        }
+      }
+    }
+  });
+  // Both outcomes must occur, or the property is vacuous.
+  EXPECT_GT(accepted, 0u);
+  EXPECT_GT(rejected, 0u);
 }
 
 }  // namespace
