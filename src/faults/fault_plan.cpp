@@ -1,7 +1,5 @@
 #include "faults/fault_plan.hpp"
 
-#include <sstream>
-
 #include "obs/trace.hpp"
 #include "support/error.hpp"
 
@@ -23,7 +21,15 @@ const char* fault_kind_name(FaultKind kind) {
 
 void FaultEventLog::record(const FaultEvent& event) {
   ++counts_[static_cast<std::size_t>(event.kind)];
-  events_.push_back(event);
+  digest_.mix(event.sequence);
+  digest_.mix(event.time);
+  digest_.mix(static_cast<std::uint64_t>(event.kind));
+  digest_.mix(static_cast<std::uint64_t>(event.i));
+  digest_.mix(static_cast<std::uint64_t>(event.j));
+  digest_.mix(event.value);
+  if (event.kind == FaultKind::PlacementShift) {
+    placement_shifts_.push_back(event);
+  }
 }
 
 std::uint64_t FaultEventLog::count(FaultKind kind) const {
@@ -33,28 +39,6 @@ std::uint64_t FaultEventLog::count(FaultKind kind) const {
 std::uint64_t FaultEventLog::value_losses() const {
   return count(FaultKind::ProbeTimeout) +
          count(FaultKind::DroppedMeasurement);
-}
-
-CsvTable FaultEventLog::to_csv() const {
-  CsvTable table;
-  table.header = {"sequence", "time", "kind", "i", "j", "value"};
-  table.rows.reserve(events_.size());
-  for (const FaultEvent& e : events_) {
-    table.rows.push_back({std::to_string(e.sequence), format_double(e.time),
-                          fault_kind_name(e.kind), std::to_string(e.i),
-                          std::to_string(e.j), format_double(e.value)});
-  }
-  return table;
-}
-
-std::string FaultEventLog::serialize() const {
-  std::ostringstream out;
-  for (const FaultEvent& e : events_) {
-    out << e.sequence << ',' << format_double(e.time) << ','
-        << fault_kind_name(e.kind) << ',' << e.i << ',' << e.j << ','
-        << format_double(e.value) << '\n';
-  }
-  return out.str();
 }
 
 FaultPlan::FaultPlan(const FaultPlanConfig& config)

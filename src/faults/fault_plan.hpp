@@ -6,8 +6,8 @@
 // events that permanently shift the constant component of every link
 // touching one VM. All stochastic decisions are drawn from one seeded
 // Rng consumed strictly in probe order, and every injected fault is
-// recorded in an append-only FaultEventLog — so two runs of the same
-// plan against the same (deterministic) provider produce byte-identical
+// counted and digested by a FaultEventLog — so two runs of the same
+// plan against the same (deterministic) provider produce identical
 // logs, regardless of the thread count driving them (a provider is only
 // ever probed by the single driver that owns its tenant).
 //
@@ -18,10 +18,9 @@
 
 #include <array>
 #include <cstdint>
-#include <string>
 #include <vector>
 
-#include "support/csv.hpp"
+#include "support/hash.hpp"
 #include "support/rng.hpp"
 
 namespace netconst::faults {
@@ -50,27 +49,31 @@ struct FaultEvent {
   double value = 0.0;
 };
 
-/// Append-only record of injected faults. Deliberately NOT thread-safe:
-/// one log belongs to one provider, and a provider is probed
-/// sequentially by the single driver that owns its tenant — which is
-/// exactly why the log is reproducible byte for byte.
+/// Record of injected faults. Every fault is counted and folded, in
+/// injection order, into a running FNV-1a digest of all its fields;
+/// only placement shifts (a handful per campaign) are kept as records,
+/// so the log does not grow with the probe stream. Deliberately NOT
+/// thread-safe: one log belongs to one provider, and a provider is
+/// probed sequentially by the single driver that owns its tenant —
+/// which is exactly why the digest is reproducible run to run.
 class FaultEventLog {
  public:
   void record(const FaultEvent& event);
 
-  std::size_t size() const { return events_.size(); }
-  const std::vector<FaultEvent>& events() const { return events_; }
   std::uint64_t count(FaultKind kind) const;
   /// Probes whose measured value was lost (timeouts + drops).
   std::uint64_t value_losses() const;
-
-  /// CSV columns: sequence,time,kind,i,j,value.
-  CsvTable to_csv() const;
-  /// Canonical text form (one line per event) for byte-identity checks.
-  std::string serialize() const;
+  /// FNV-1a over every recorded fault's fields in record order (the
+  /// offset basis while empty). Equal fault streams give equal digests.
+  std::uint64_t digest() const { return digest_.state; }
+  /// The placement shifts, in the order they took effect.
+  const std::vector<FaultEvent>& placement_shifts() const {
+    return placement_shifts_;
+  }
 
  private:
-  std::vector<FaultEvent> events_;
+  std::vector<FaultEvent> placement_shifts_;
+  Fnv1a digest_;
   std::array<std::uint64_t, kFaultKindCount> counts_{};
 };
 

@@ -35,16 +35,40 @@ const char* event_kind_name(EventKind kind) {
   return "unknown";
 }
 
+bool is_routine(EventKind kind) {
+  return kind == EventKind::SnapshotIngested ||
+         kind == EventKind::Recalibration ||
+         kind == EventKind::RecalibrationSuppressed ||
+         kind == EventKind::ThresholdBreach;
+}
+
 EventLog::EventLog(std::size_t capacity) : capacity_(capacity) {}
 
 void EventLog::record(Event event) {
   const auto kind_index = static_cast<std::size_t>(event.kind);
   NETCONST_CHECK(kind_index < kEventKindCount, "unknown event kind");
+  NETCONST_CHECK(!is_routine(event.kind),
+                 "routine events go through record_routine");
   std::lock_guard<std::mutex> lock(mutex_);
   ++recorded_;
   ++counts_[kind_index];
   events_.push_back(std::move(event));
   if (capacity_ > 0 && events_.size() > capacity_) events_.pop_front();
+}
+
+void EventLog::record_routine(std::string_view tenant, double time,
+                              EventKind kind, double value, double detail) {
+  NETCONST_CHECK(is_routine(kind), "record_routine with a retained kind");
+  std::lock_guard<std::mutex> lock(mutex_);
+  ++recorded_;
+  ++counts_[static_cast<std::size_t>(kind)];
+  auto it = digests_.find(tenant);
+  if (it == digests_.end()) it = digests_.emplace(tenant, Fnv1a{}).first;
+  Fnv1a& digest = it->second;
+  digest.mix(time);
+  digest.mix(static_cast<std::uint64_t>(kind));
+  digest.mix(value);
+  digest.mix(detail);
 }
 
 std::size_t EventLog::size() const {
@@ -62,6 +86,12 @@ std::uint64_t EventLog::count(EventKind kind) const {
   NETCONST_CHECK(kind_index < kEventKindCount, "unknown event kind");
   std::lock_guard<std::mutex> lock(mutex_);
   return counts_[kind_index];
+}
+
+std::uint64_t EventLog::digest(std::string_view tenant) const {
+  std::lock_guard<std::mutex> lock(mutex_);
+  const auto it = digests_.find(tenant);
+  return it == digests_.end() ? Fnv1a{}.state : it->second.state;
 }
 
 std::vector<Event> EventLog::snapshot() const {

@@ -487,9 +487,9 @@ void ConstantFinderService::maintain(Tenant& tenant, TriggerReason reason,
   global_->snapshots_ingested.increment();
   global_->calibration_seconds.observe(ingest.elapsed_seconds);
   sync_ingest_totals(tenant);
-  events_.record({provider.now(), tenant.config.name,
-                  EventKind::SnapshotIngested,
-                  trigger_reason_name(reason), ingest.elapsed_seconds});
+  events_.record_routine(tenant.config.name, provider.now(),
+                         EventKind::SnapshotIngested, ingest.elapsed_seconds,
+                         static_cast<double>(reason));
 
   RefreshReport report = tenant.refresher.refresh(tenant.window);
   tenant.component = report.component;
@@ -522,9 +522,9 @@ void ConstantFinderService::maintain(Tenant& tenant, TriggerReason reason,
   if (reason == TriggerReason::DetectorSignal) {
     tenant.detector_recalibrations.increment();
   }
-  events_.record({provider.now(), tenant.config.name,
-                  EventKind::Recalibration, trigger_reason_name(reason),
-                  trigger_value});
+  events_.record_routine(tenant.config.name, provider.now(),
+                         EventKind::Recalibration, trigger_value,
+                         static_cast<double>(reason));
   if (level_changed) {
     global_->level_changes.increment();
     events_.record(
@@ -599,21 +599,16 @@ void ConstantFinderService::step(Tenant& tenant) {
     const auto count = static_cast<double>(decision.suppressed_probes);
     tenant.suppressed.increment(count);
     global_->suppressed.increment(count);
-    events_.record({provider.now(), tenant.config.name,
-                    EventKind::RecalibrationSuppressed,
-                    "interval factor " +
-                        ConsoleTable::cell(
-                            tenant.scheduler.advisor()
-                                .recalibration_interval_factor(),
-                            2),
-                    count});
+    events_.record_routine(
+        tenant.config.name, provider.now(),
+        EventKind::RecalibrationSuppressed, count,
+        tenant.scheduler.advisor().recalibration_interval_factor());
   }
   if (decision.recalibrate) {
     if (decision.reason == TriggerReason::ThresholdBreach) {
-      events_.record({provider.now(), tenant.config.name,
-                      EventKind::ThresholdBreach,
-                      "operation deviated from expectation",
-                      decision.relative_error});
+      events_.record_routine(tenant.config.name, provider.now(),
+                             EventKind::ThresholdBreach,
+                             decision.relative_error);
     }
     maintain(tenant, decision.reason, decision.relative_error);
   }

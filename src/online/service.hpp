@@ -104,7 +104,12 @@ struct ServiceOptions {
   /// stragglers sooner at slightly more scheduling overhead; 0 acts
   /// as 1. Has no effect on any tenant's trajectory.
   std::size_t batch_slice = 16;
-  /// Event-log retention; 0 = unbounded.
+  /// Event-log retention of the retained kinds (verdicts, level
+  /// changes, cold fallbacks, probe losses, stale rows, forced
+  /// recalibrations, bootstrap refreshes); 0 = unbounded. The routine
+  /// per-cycle kinds (snapshot ingests, recalibrations, suppressed
+  /// probes, threshold breaches) are only counted and digested, so they
+  /// take no retention (see events.hpp).
   std::size_t event_capacity = 0;
   /// Per-tenant solver convergence telemetry: each refresh leaves one
   /// summary record per layer (path, iterations, residual, stop-rule

@@ -9,6 +9,7 @@
 #include "mapping/mapping.hpp"
 #include "obs/export.hpp"
 #include "support/error.hpp"
+#include "support/hash.hpp"
 
 namespace netconst::serving {
 
@@ -52,23 +53,17 @@ void canonicalize_plan_request(PlanRequest& request) {
 std::uint64_t plan_request_hash(std::size_t tenant_index,
                                 std::uint64_t version,
                                 const PlanRequest& request) {
-  std::uint64_t hash = 1469598103934665603ull;  // FNV offset basis
-  const auto mix = [&hash](std::uint64_t value) {
-    for (int byte = 0; byte < 8; ++byte) {
-      hash ^= (value >> (byte * 8)) & 0xffu;
-      hash *= 1099511628211ull;  // FNV prime
-    }
-  };
-  mix(static_cast<std::uint64_t>(tenant_index));
-  mix(version);
-  mix(static_cast<std::uint64_t>(request.kind));
-  mix(static_cast<std::uint64_t>(request.root));
-  mix(request.bytes);
-  mix(static_cast<std::uint64_t>(request.nodes.size()));
+  Fnv1a hash;
+  hash.mix(static_cast<std::uint64_t>(tenant_index));
+  hash.mix(version);
+  hash.mix(static_cast<std::uint64_t>(request.kind));
+  hash.mix(static_cast<std::uint64_t>(request.root));
+  hash.mix(request.bytes);
+  hash.mix(static_cast<std::uint64_t>(request.nodes.size()));
   for (const std::size_t node : request.nodes) {
-    mix(static_cast<std::uint64_t>(node));
+    hash.mix(static_cast<std::uint64_t>(node));
   }
-  return hash;
+  return hash.state;
 }
 
 namespace {

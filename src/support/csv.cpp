@@ -1,6 +1,8 @@
 #include "support/csv.hpp"
 
-#include <charconv>
+#include <cerrno>
+#include <cmath>
+#include <cstdlib>
 #include <fstream>
 #include <ostream>
 #include <sstream>
@@ -38,15 +40,20 @@ double CsvTable::number(std::size_t row, std::size_t col) const {
   NETCONST_CHECK(row < rows.size() && col < rows[row].size(),
                  "CSV cell out of range");
   const std::string& cell = rows[row][col];
-  try {
-    std::size_t used = 0;
-    const double v = std::stod(cell, &used);
-    if (used != cell.size()) throw Error("trailing characters");
-    return v;
-  } catch (const std::exception&) {
+  // strtod sets ERANGE on overflow, on underflow to zero and on every
+  // subnormal result. A subnormal is still the nearest double to the
+  // cell, so it is a number; the other two are not.
+  errno = 0;
+  char* end = nullptr;
+  const double v = std::strtod(cell.c_str(), &end);
+  const bool range_ok =
+      errno != ERANGE || std::fpclassify(v) == FP_SUBNORMAL;
+  if (end == cell.c_str() || end != cell.c_str() + cell.size() ||
+      !range_ok) {
     throw Error("CSV cell (row " + std::to_string(row) + ", column " +
                 std::to_string(col) + ") is not a number: '" + cell + "'");
   }
+  return v;
 }
 
 void write_csv(std::ostream& out, const CsvTable& table) {

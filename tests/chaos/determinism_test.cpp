@@ -1,8 +1,11 @@
 // Seeded-determinism regression: a chaos campaign is a pure function of
 // its seeds. Two service runs with the same FaultPlan seeds must produce
-// byte-identical fault event logs, identical per-tenant event sequences,
-// and bit-identical constants — at 1 worker thread and at 8. This is the
-// contract that makes every chaos failure replayable.
+// identical fault logs (every injected fault, through the log's digest
+// and per-kind counts, plus the retained placement shifts), identical
+// per-tenant event sequences (retained events field by field, routine
+// events through the tenant's digest), and bit-identical constants — at
+// 1 worker thread and at 8. This is the contract that makes every chaos
+// failure replayable.
 #include <memory>
 #include <sstream>
 #include <string>
@@ -15,6 +18,7 @@
 #include "online/service.hpp"
 #include "rpca/rpca.hpp"
 #include "support/csv.hpp"
+#include "support/hash.hpp"
 
 namespace netconst::online {
 namespace {
@@ -24,7 +28,9 @@ constexpr std::size_t kSteps = 24;
 
 struct CampaignResult {
   std::vector<std::string> fault_logs;     // per tenant, canonical text
+  std::vector<std::uint64_t> fault_digests;
   std::vector<std::string> event_streams;  // per tenant, canonical text
+  std::vector<std::uint64_t> routine_digests;
   std::vector<std::string> constants;      // per tenant, exact doubles
   std::vector<TenantStatus> statuses;
 };
@@ -57,6 +63,20 @@ std::string serialize_constant(const netmodel::PerformanceMatrix& matrix) {
       out << format_double(link.alpha) << ',' << format_double(link.beta)
           << '\n';
     }
+  }
+  return out.str();
+}
+
+// Per-kind counts, then the retained placement shifts field by field.
+std::string serialize_fault_log(const faults::FaultEventLog& log) {
+  std::ostringstream out;
+  for (std::size_t k = 0; k < faults::kFaultKindCount; ++k) {
+    const auto kind = static_cast<faults::FaultKind>(k);
+    out << faults::fault_kind_name(kind) << '=' << log.count(kind) << '\n';
+  }
+  for (const faults::FaultEvent& e : log.placement_shifts()) {
+    out << e.sequence << ',' << format_double(e.time) << ',' << e.i << ','
+        << format_double(e.value) << '\n';
   }
   return out.str();
 }
@@ -102,7 +122,9 @@ CampaignResult run_campaign(std::size_t threads, bool incremental = false,
   CampaignResult result;
   const std::vector<Event> events = service.events().snapshot();
   for (std::size_t t = 0; t < kTenants; ++t) {
-    result.fault_logs.push_back(providers[t]->fault_log().serialize());
+    const faults::FaultEventLog& fault_log = providers[t]->fault_log();
+    result.fault_logs.push_back(serialize_fault_log(fault_log));
+    result.fault_digests.push_back(fault_log.digest());
     result.constants.push_back(
         serialize_constant(service.component(t).constant));
     result.statuses.push_back(service.status(t));
@@ -111,6 +133,7 @@ CampaignResult run_campaign(std::size_t threads, bool incremental = false,
     // counts; each tenant's OWN sequence may not.
     std::ostringstream stream;
     const std::string name = "tenant" + std::to_string(t);
+    result.routine_digests.push_back(service.events().digest(name));
     for (const Event& event : events) {
       if (event.tenant != name) continue;
       stream << format_double(event.time) << ','
@@ -126,7 +149,9 @@ void expect_identical(const CampaignResult& a, const CampaignResult& b) {
   for (std::size_t t = 0; t < kTenants; ++t) {
     SCOPED_TRACE("tenant " + std::to_string(t));
     EXPECT_EQ(a.fault_logs[t], b.fault_logs[t]);
+    EXPECT_EQ(a.fault_digests[t], b.fault_digests[t]);
     EXPECT_EQ(a.event_streams[t], b.event_streams[t]);
+    EXPECT_EQ(a.routine_digests[t], b.routine_digests[t]);
     EXPECT_EQ(a.constants[t], b.constants[t]);
     EXPECT_EQ(a.statuses[t].steps, b.statuses[t].steps);
     EXPECT_EQ(a.statuses[t].provider_time, b.statuses[t].provider_time);
@@ -154,7 +179,8 @@ TEST(ChaosDeterminism, RepeatRunsAreByteIdentical) {
   const CampaignResult first = run_campaign(1);
   const CampaignResult second = run_campaign(1);
   for (std::size_t t = 0; t < kTenants; ++t) {
-    EXPECT_FALSE(first.fault_logs[t].empty());
+    EXPECT_NE(first.fault_digests[t], Fnv1a{}.state);
+    EXPECT_NE(first.routine_digests[t], Fnv1a{}.state);
   }
   expect_identical(first, second);
 }

@@ -3,12 +3,12 @@
 // the event-log bookkeeping the chaos invariants lean on.
 #include "faults/fault_plan.hpp"
 
-#include <algorithm>
-#include <string>
+#include <cstdint>
 
 #include <gtest/gtest.h>
 
 #include "support/error.hpp"
+#include "support/hash.hpp"
 
 namespace netconst::faults {
 namespace {
@@ -53,8 +53,10 @@ TEST(FaultPlan, CleanPlanInjectsNothing) {
     EXPECT_EQ(fault.elapsed_factor, 1.0);
   }
   EXPECT_EQ(plan.probes(), 100u);
-  EXPECT_EQ(plan.log().size(), 0u);
-  EXPECT_TRUE(plan.log().serialize().empty());
+  for (std::size_t k = 0; k < kFaultKindCount; ++k) {
+    EXPECT_EQ(plan.log().count(static_cast<FaultKind>(k)), 0u);
+  }
+  EXPECT_EQ(plan.log().digest(), Fnv1a{}.state);
 }
 
 TEST(FaultPlan, SameSeedReplaysByteIdentically) {
@@ -71,11 +73,11 @@ TEST(FaultPlan, SameSeedReplaysByteIdentically) {
       plan.next_probe(2.5 * k, static_cast<std::size_t>(k % 4),
                       static_cast<std::size_t>((k + 1) % 4));
     }
-    return plan.log().serialize();
+    return plan.log().digest();
   };
-  const std::string first = drive();
-  const std::string second = drive();
-  EXPECT_FALSE(first.empty());
+  const std::uint64_t first = drive();
+  const std::uint64_t second = drive();
+  EXPECT_NE(first, Fnv1a{}.state);
   EXPECT_EQ(first, second);
 
   // A different seed must not replay the same stochastic stream.
@@ -147,20 +149,39 @@ TEST(FaultPlan, PlacementShiftIsPersistentAndPerEndpoint) {
   EXPECT_EQ(plan.log().count(FaultKind::PlacementShift), 2u);
 }
 
-TEST(FaultEventLog, CsvAndSerializeAgreeOnEventCount) {
+// Every fault is counted and digested, but only placement shifts are
+// kept as records: the log does not grow with the probe stream.
+TEST(FaultEventLog, KeepsPlacementShiftsAndDigestsEveryFault) {
   FaultPlanConfig config;
   config.drop_probability = 1.0;
+  config.placement_changes.push_back({1.5, 2, 3.0});
   FaultPlan plan(config);
   plan.next_probe(1.0, 0, 1);
+  const std::uint64_t after_drop = plan.log().digest();
   plan.next_probe(2.0, 1, 0);
+  for (int k = 0; k < 1000; ++k) plan.next_probe(3.0, 0, 1);
 
-  const CsvTable csv = plan.log().to_csv();
-  ASSERT_EQ(csv.header.size(), 6u);
-  EXPECT_EQ(csv.row_count(), 2u);
-  EXPECT_EQ(csv.rows[0][2], "dropped_measurement");
+  const FaultEventLog& log = plan.log();
+  EXPECT_EQ(log.count(FaultKind::DroppedMeasurement), 1002u);
+  EXPECT_EQ(log.count(FaultKind::PlacementShift), 1u);
+  ASSERT_EQ(log.placement_shifts().size(), 1u);
+  const FaultEvent& shift = log.placement_shifts()[0];
+  EXPECT_EQ(shift.kind, FaultKind::PlacementShift);
+  EXPECT_EQ(shift.sequence, 1u);
+  EXPECT_EQ(shift.time, 1.5);
+  EXPECT_EQ(shift.i, 2u);
+  EXPECT_EQ(shift.value, 3.0);
+  EXPECT_NE(after_drop, Fnv1a{}.state);
+  EXPECT_NE(log.digest(), after_drop);
 
-  const std::string text = plan.log().serialize();
-  EXPECT_EQ(std::count(text.begin(), text.end(), '\n'), 2);
+  // One field of one fault differs (the pair's direction): the digest
+  // differs while every count agrees.
+  FaultEventLog a, b;
+  a.record({7, 1.0, FaultKind::OutlierInjected, 0, 1, 4.0});
+  b.record({7, 1.0, FaultKind::OutlierInjected, 1, 0, 4.0});
+  EXPECT_EQ(a.count(FaultKind::OutlierInjected),
+            b.count(FaultKind::OutlierInjected));
+  EXPECT_NE(a.digest(), b.digest());
 }
 
 }  // namespace

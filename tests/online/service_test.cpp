@@ -151,6 +151,40 @@ TEST(ConstantFinderService, RepeatedRunContinuesTheCampaign) {
             4u + status.refreshes - 1u);
 }
 
+// A healthy tenant's per-cycle events (ingests, recalibrations,
+// suppressed probes, breaches) are counted and digested, not retained:
+// serving twice as many cycles keeps the event log the same size. The
+// clouds never congest, so no retained kind (a level change, a cold
+// fallback) has cause to fire after the bootstrap refresh.
+TEST(ConstantFinderService, RetainedEventsDoNotGrowWithCyclesServed) {
+  constexpr std::size_t kSteps = 60;
+  ConstantFinderService service;
+  std::vector<std::unique_ptr<cloud::SyntheticCloud>> clouds;
+  for (std::uint64_t t = 0; t < 2; ++t) {
+    cloud::SyntheticCloudConfig quiet = tiny_cloud(30 + t);
+    quiet.mean_quiet_duration = 1e12;
+    quiet.mean_rack_quiet_duration = 1e12;
+    clouds.push_back(std::make_unique<cloud::SyntheticCloud>(quiet));
+    service.add_tenant(
+        tenant_config("tenant" + std::to_string(t), *clouds.back(), t + 1));
+  }
+  service.run(kSteps);
+  const EventLog& events = service.events();
+  const std::size_t retained = events.size();
+  const std::uint64_t recorded = events.recorded();
+  const std::uint64_t digest = events.digest("tenant0");
+
+  service.run(kSteps);
+  EXPECT_EQ(service.status(0).steps, 2 * kSteps);
+  EXPECT_EQ(events.size(), retained);
+  // Not vacuous: the second half served maintenance cycles.
+  EXPECT_GT(events.recorded(), recorded);
+  EXPECT_NE(events.digest("tenant0"), digest);
+  for (const Event& event : events.snapshot()) {
+    EXPECT_FALSE(is_routine(event.kind)) << event_kind_name(event.kind);
+  }
+}
+
 TEST(ConstantFinderService, TrajectoryIndependentOfThreadCount) {
   // Same tenant configs driven by a single worker and by four workers
   // must produce bit-identical trajectories: tenants share no mutable

@@ -2,7 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <cstdlib>
+#include <limits>
 #include <sstream>
 #include <string>
 
@@ -140,6 +145,47 @@ TEST(Csv, NumberParsesNonFiniteSentinels) {
   table.rows = {{"nan"}, {"inf"}};
   EXPECT_TRUE(std::isnan(table.number(0, 0)));
   EXPECT_TRUE(std::isinf(table.number(1, 0)));
+}
+
+// Property: a subnormal cell reads back bit for bit, whether written by
+// format_double or spelled as a short decimal; overflow, total underflow
+// to zero and non-numbers stay rejected.
+TEST(Csv, PropertySubnormalCellsParseAndOverflowStaysRejected) {
+  testing::run_property(0x5B40, 300, [](Rng& rng) {
+    const std::uint64_t mantissa = std::max<std::uint64_t>(
+        rng.next_u64() & ((std::uint64_t{1} << 52) - 1), 1);
+    const std::uint64_t sign =
+        rng.uniform() < 0.5 ? 0 : std::uint64_t{1} << 63;
+    const double subnormal = std::bit_cast<double>(sign | mantissa);
+    ASSERT_EQ(std::fpclassify(subnormal), FP_SUBNORMAL);
+    const std::string spelled =
+        std::to_string(rng.uniform_int(1, 9)) + "e-" +
+        std::to_string(rng.uniform_int(309, 323));
+    const std::string overflow =
+        std::to_string(rng.uniform_int(1, 9)) + "e" +
+        std::to_string(rng.uniform_int(309, 999));
+    const std::string underflow =
+        "1e-" + std::to_string(rng.uniform_int(330, 999));
+
+    CsvTable table;
+    table.header = {"x"};
+    table.rows = {{format_double(subnormal)}, {spelled}, {overflow},
+                  {"-" + overflow}, {underflow}, {spelled + "x"}};
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(table.number(0, 0)),
+              std::bit_cast<std::uint64_t>(subnormal));
+    const double parsed = table.number(1, 0);
+    EXPECT_EQ(std::fpclassify(parsed), FP_SUBNORMAL) << spelled;
+    EXPECT_EQ(parsed, std::strtod(spelled.c_str(), nullptr)) << spelled;
+    for (std::size_t r = 2; r < table.row_count(); ++r) {
+      EXPECT_THROW(table.number(r, 0), Error) << table.rows[r][0];
+    }
+  });
+  // The smallest normal and the smallest subnormal are both numbers.
+  CsvTable edges;
+  edges.header = {"x"};
+  edges.rows = {{"2.2250738585072014e-308"}, {"4.9406564584124654e-324"}};
+  EXPECT_EQ(edges.number(0, 0), std::numeric_limits<double>::min());
+  EXPECT_EQ(edges.number(1, 0), std::numeric_limits<double>::denorm_min());
 }
 
 // A CRLF file may contain blank CRLF lines; they are skipped like blank
